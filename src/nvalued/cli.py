@@ -26,7 +26,7 @@ from fractions import Fraction
 from .fixedpoints import (
     SingularLinearPartError,
     fixed_point_classes,
-    nielsen_number,
+    nielsen_report,
 )
 from .intlinalg import is_infinite
 from .liftsystems import (
@@ -88,7 +88,22 @@ def _parse_fraction(text):
         raise DocumentError(f"bad rational {text!r}: {exc}") from None
 
 
+def _parse_int(value, what):
+    x = _parse_fraction(value)
+    if x.denominator != 1:
+        raise DocumentError(f"{what} must be an integer, got {value!r}")
+    return int(x)
+
+
+def _int_matrix(rows, what):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise DocumentError(f"{what} must be a list of rows")
+    return [[_parse_int(x, f"entry of {what}") for x in row] for row in rows]
+
+
 def _require_fields(doc, required, optional=()):
+    if not isinstance(doc, dict):
+        raise DocumentError(f"expected an object with fields {list(required)}, got {doc!r}")
     keys = set(doc)
     missing = [k for k in required if k not in keys]
     unknown = keys - set(required) - set(optional)
@@ -116,7 +131,7 @@ def build_system(doc) -> tuple:
     kind = doc.get("kind")
     if kind == "custom":
         _require_fields(doc, ("kind", "n", "q", "factors"))
-        n, q = int(doc["n"]), int(doc["q"])
+        n, q = _parse_int(doc["n"], "n"), _parse_int(doc["q"], "q")
         factors = []
         if not isinstance(doc["factors"], list) or len(doc["factors"]) != n:
             raise DocumentError(f"expected exactly {n} factors")
@@ -130,16 +145,18 @@ def build_system(doc) -> tuple:
         return kind, lift_system(factors)
     if kind == "linear":
         _require_fields(doc, ("kind", "n", "A"))
-        return kind, make_linear(int(doc["n"]), doc["A"])
+        return kind, make_linear(_parse_int(doc["n"], "n"), _int_matrix(doc["A"], "A"))
     if kind == "circle":
         _require_fields(doc, ("kind", "n", "d"))
-        return kind, make_circle(int(doc["n"]), int(doc["d"]))
+        return kind, make_circle(_parse_int(doc["n"], "n"), _parse_int(doc["d"], "d"))
     if kind == "split":
         _require_fields(doc, ("kind", "parts"))
+        if not isinstance(doc["parts"], list):
+            raise DocumentError("parts must be a list")
         parts = []
         for part in doc["parts"]:
             _require_fields(part, ("A", "b"))
-            a = [[int(x) for x in row] for row in part["A"]]
+            a = _int_matrix(part["A"], "A")
             b = [_parse_fraction(x) for x in part["b"]]
             parts.append((a, b))
         return kind, make_split(parts)
@@ -196,9 +213,14 @@ def load_graph_document(path):
 # report construction
 
 
-def build_report(kind, sys: LiftSystem, oracle_section=None):
-    """Assemble the full analysis report as a JSON-ready dict."""
-    report = reidemeister_number(sys)
+def build_report(kind, sys: LiftSystem, oracle_section=None, report=None):
+    """Assemble the full analysis report as a JSON-ready dict.
+
+    ``report`` is the Reidemeister report of ``sys`` when the caller has
+    already computed it.
+    """
+    if report is None:
+        report = reidemeister_number(sys)
     doc = {
         "kind": kind,
         "n": sys.n,
@@ -231,7 +253,7 @@ def build_report(kind, sys: LiftSystem, oracle_section=None):
             for c in classes
         ]
         if all(c.index is not None for c in classes):
-            nreport = nielsen_number(sys)
+            nreport = nielsen_report(report, classes)
             doc["nielsen"] = nreport.nielsen
             doc["index_uniformity"] = nreport.uniformity_per_sigma_class
     if oracle_section is not None:
@@ -351,13 +373,14 @@ def _cmd_split(args, out):
 def _cmd_oracle_check(args, out):
     kind, sys = load_map_document(args.spec)
     cfg = OracleConfig(box_bound=args.box, word_bound=args.word)
-    verdict = oracle_check(sys, cfg)
+    report = reidemeister_number(sys)
+    verdict = oracle_check(sys, cfg, report=report)
     section = {
         "box_bound": args.box,
         "word_bound": args.word,
         "verdict": bool(verdict),
     }
-    emit(build_report(kind, sys, oracle_section=section), args.format, out)
+    emit(build_report(kind, sys, oracle_section=section, report=report), args.format, out)
     return 0 if verdict else 1
 
 

@@ -21,13 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlinalg import (
-    frac_identity,
-    is_infinite,
-    rational_det,
-    solve_rational,
-)
-from .liftsystems import LiftSystem, RowsNotCongruentError
+from .intlinalg import adjugate, eliminate, is_infinite, rational_det
+from .liftsystems import LiftSystem, require_congruent_rows
 from .reidemeister import ReidemeisterReport, SigmaClassReport, reidemeister_number
 
 
@@ -72,18 +67,6 @@ class NielsenReport:
     reid_report: ReidemeisterReport
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _frac_floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _reduce_point(vec):
-    return tuple(x - _frac_floor(x) for x in vec)
-
-
 def fixed_point_classes(sys: LiftSystem, report: ReidemeisterReport = None):
     """Enumerate the fixed point classes of a lift system.
 
@@ -99,23 +82,24 @@ def fixed_point_classes(sys: LiftSystem, report: ReidemeisterReport = None):
 
 def _classes_from_report(sys: LiftSystem, report: ReidemeisterReport):
     q = sys.q
-    identity = frac_identity(q)
     classes = []
     seen_points = {}
     for block in report.blocks:
         i = block.sigma_class.representative
-        factor = sys.factors[i - 1]
-        e_minus_m = [
-            [identity[r][c] - factor.linear[r][c] for c in range(q)] for r in range(q)
-        ]
-        det = rational_det(e_minus_m)
+        mat, offset, scales = sys.factors[i - 1].fixed_point_system()
+        # one determinant and adjugate per sigma-class: every point is then
+        # t = adj (offset + scales * alpha) / det, reduced mod 1
+        det, adj = adjugate(mat)
+        sign, m = (det > 0) - (det < 0), abs(det)
         for alpha, _ in block.representatives:
-            rhs = [factor.offset[r] + alpha[r] for r in range(q)]
+            rhs = [offset[r] + scales[r] * alpha[r] for r in range(q)]
             if det != 0:
-                t = solve_rational(e_minus_m, rhs)
-                point = _reduce_point(t)
+                point = tuple(
+                    Fraction((sign * sum(x * y for x, y in zip(row, rhs))) % m, m)
+                    for row in adj
+                )
                 cls = FixedPointClass(
-                    alpha=alpha, factor_index=i, point=point, index=_sign(det), empty=False
+                    alpha=alpha, factor_index=i, point=point, index=sign, empty=False
                 )
                 if point in seen_points:
                     raise AssertionError(
@@ -123,7 +107,9 @@ def _classes_from_report(sys: LiftSystem, report: ReidemeisterReport):
                     )
                 seen_points[point] = cls
             else:
-                solvable = _consistent(e_minus_m, rhs)
+                # solvable iff the right-hand side column takes no pivot
+                _, pivots, _ = eliminate([row + [b] for row, b in zip(mat, rhs)])
+                solvable = q not in pivots
                 cls = FixedPointClass(
                     alpha=alpha,
                     factor_index=i,
@@ -133,26 +119,6 @@ def _classes_from_report(sys: LiftSystem, report: ReidemeisterReport):
                 )
             classes.append(cls)
     return classes
-
-
-def _consistent(mat, rhs):
-    """Does the rational system mat x = rhs admit any solution?"""
-    q = len(mat)
-    a = [[Fraction(mat[r][c]) for c in range(q)] + [Fraction(rhs[r])] for r in range(q)]
-    r = 0
-    for c in range(q):
-        piv = next((i for i in range(r, q) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(q):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return all(row[q] == 0 for row in a[r:])
 
 
 def nielsen_number(sys: LiftSystem) -> NielsenReport:
@@ -165,7 +131,12 @@ def nielsen_number(sys: LiftSystem) -> NielsenReport:
     report = reidemeister_number(sys)
     if is_infinite(report.total):
         raise InfiniteClassesError("R(f) is infinite: the Nielsen count needs R finite")
-    classes = _classes_from_report(sys, report)
+    return nielsen_report(report, _classes_from_report(sys, report))
+
+
+def nielsen_report(report: ReidemeisterReport, classes) -> NielsenReport:
+    """The Nielsen report from the fixed point classes already listed for
+    ``report``; raises as :func:`nielsen_number` does."""
     undefined = [c for c in classes if c.index is None]
     if undefined:
         bad = sorted({c.factor_index for c in undefined})
@@ -216,12 +187,7 @@ def nielsen_linear_formula(n: int, matrix) -> int:
     """
     a = [list(map(int, row)) for row in matrix]
     q = len(a)
-    for r in range(q):
-        for s in range(r + 1, q):
-            if any((a[r][c] - a[s][c]) % n != 0 for c in range(q)):
-                raise RowsNotCongruentError(
-                    f"rows {r + 1} and {s + 1} are not congruent mod {n}"
-                )
+    require_congruent_rows(n, a)
     e_minus = [
         [Fraction(int(r == c)) - Fraction(a[r][c], n) for c in range(q)] for r in range(q)
     ]

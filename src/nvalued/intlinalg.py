@@ -4,7 +4,7 @@ Everything here runs on Python's arbitrary-precision integers and
 ``fractions.Fraction``; there is no floating point anywhere.  The module
 provides the two normal forms used by the rest of the package (row-style
 Hermite and Smith), a canonical representation of sublattices of Z^q,
-coset enumeration inside a fundamental box, and dense rational solving.
+coset enumeration inside a fundamental box, and one elimination kernel.
 
 Conventions
 -----------
@@ -14,7 +14,13 @@ Conventions
   zero rows at the bottom.  Equal row spans produce identical H, which is
   what makes lattice equality a plain tuple comparison.
 * A :class:`Sublattice` always stores its basis in HNF with zero rows
-  stripped, so it is the canonical form of the subgroup it spans.
+  stripped, so it is the canonical form of the subgroup it spans.  Its
+  index is the product of the HNF diagonal.
+* Every determinant, solution, adjugate and kernel comes from
+  :func:`eliminate`, a fraction-free Gauss-Jordan elimination over
+  ``int``.  Rational input is first scaled row by row to integers
+  (:func:`integer_rows`); ``Fraction`` appears only in the results of the
+  rational wrappers :func:`rational_det` and :func:`solve_rational`.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 
 
 class SingularMatrixError(ValueError):
@@ -100,6 +107,10 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def frac_identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
 def mat_mul(a, b):
     rows = len(a)
     inner = len(b)
@@ -108,10 +119,6 @@ def mat_mul(a, b):
         [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)
     ]
-
-
-def mat_vec(a, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +291,7 @@ def lattice_index(lat: Sublattice):
     """Group index [Z^q : L]; INFINITE when the rank is deficient."""
     if lat.rank < lat.ambient_dim:
         return INFINITE
-    factors = smith_normal_form([list(r) for r in lat.basis])
-    idx = 1
-    for d in factors:
-        idx *= d
-    return idx
+    return prod(_hnf_diagonal(lat))
 
 
 def lattice_contains(lat: Sublattice, v) -> bool:
@@ -340,49 +343,65 @@ def coset_reduce(lat: Sublattice, v):
 
 
 # ---------------------------------------------------------------------------
-# rational dense linear algebra
+# exact elimination
 
 
-def as_fraction_matrix(mat):
-    return [[Fraction(x) for x in row] for row in mat]
+def integer_rows(mat):
+    """Scale each row of a rational matrix to integers by its common denominator.
+
+    Returns ``(rows, scales)`` with ``rows[i] = scales[i] * mat[i]``.
+    """
+    rows, scales = [], []
+    for row in mat:
+        d = lcm(1, *(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scales.append(d)
+    return rows, scales
 
 
-def frac_identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def eliminate(mat, width=None):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) over ``int``.
 
-
-def frac_mat_vec(a, v):
-    return tuple(sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in a)
-
-
-def frac_mat_mul(a, b):
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
-        for i in range(len(a))
-    ]
+    Pivots are sought in the first ``width`` columns (default: all); later
+    columns are carried along, as the right-hand sides of a system.
+    Returns ``(rows, pivots, det)``: in ``rows`` the i-th row has the
+    common pivot value p in column ``pivots[i]`` and zeros in the other
+    pivot columns, and the rows past the rank vanish in the pivot search
+    columns.  Every entry is a minor of the input, so each division is
+    exact.  ``det`` is the determinant of the pivot columns when there
+    is one pivot per row (of the matrix itself when it is square), else 0.
+    """
+    a = [list(row) for row in mat]
+    m = len(a)
+    width = (len(a[0]) if m else 0) if width is None else width
+    pivots = []
+    prev, sign = 1, 1
+    for c in range(width):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[c]
+        for i in range(m):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        pivots.append(c)
+    det = sign * prev if len(pivots) == m else 0
+    return a, pivots, det
 
 
 def rational_det(mat) -> Fraction:
-    a = as_fraction_matrix(mat)
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                factor = a[i][c] * inv
-                for j in range(c, n):
-                    a[i][j] -= factor * a[c][j]
-    return det
+    """Exact determinant of a square rational matrix."""
+    rows, scales = integer_rows(mat)
+    return Fraction(eliminate(rows)[2], prod(scales))
 
 
 def solve_rational(mat, rhs):
@@ -390,99 +409,44 @@ def solve_rational(mat, rhs):
 
     Raises :class:`SingularMatrixError` when det(A) = 0.
     """
-    a = as_fraction_matrix(mat)
-    n = len(a)
-    b = [Fraction(x) for x in rhs]
-    if any(len(row) != n for row in a) or len(b) != n:
+    n = len(mat)
+    if any(len(row) != n for row in mat) or len(rhs) != n:
         raise ValueError("solve_rational needs a square system")
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("coefficient matrix is singular")
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            b[c], b[piv] = b[piv], b[c]
-        inv = 1 / a[c][c]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                factor = a[i][c] * inv
-                for j in range(c, n):
-                    a[i][j] -= factor * a[c][j]
-                b[i] -= factor * b[c]
-    return tuple(b[i] / a[i][i] for i in range(n))
+    rows, _ = integer_rows([[*row, Fraction(b)] for row, b in zip(mat, rhs)])
+    a, _, det = eliminate(rows, n)
+    if det == 0:
+        raise SingularMatrixError("coefficient matrix is singular")
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(a))
 
 
-def rational_inverse(mat):
-    a = as_fraction_matrix(mat)
-    n = len(a)
-    cols = frac_identity(n)
-    # solve against all unit vectors at once
-    aug = [a[i] + cols[i] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is not invertible")
-        if piv != c:
-            aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+def adjugate(mat):
+    """``(det, adj)`` of a square integer matrix, ``adj @ mat = det * E``.
 
-
-def rational_left_kernel(mat):
-    """Basis (list of Fraction row vectors) of { y : y @ A = 0 }.
-
-    Computed as the null space of A^T by reduced row echelon over Q.
+    The adjugate is only formed for nonsingular matrices: a singular one
+    gives ``(0, None)``.
     """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    # transpose: cols x rows
-    t = [[Fraction(mat[i][j]) for i in range(rows)] for j in range(cols)]
-    m, n = cols, rows
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if t[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            t[r], t[piv] = t[piv], t[r]
-        inv = 1 / t[r][c]
-        t[r] = [x * inv for x in t[r]]
-        for i in range(m):
-            if i != r and t[i][c] != 0:
-                factor = t[i][c]
-                t[i] = [x - factor * y for x, y in zip(t[i], t[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
+    n = len(mat)
+    augmented = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)]
+    a, _, det = eliminate(augmented, n)
+    if det == 0:
+        return 0, None
+    # the right half is p mat^{-1}, p = +-det the common pivot
+    sign = det // a[0][0]
+    return det, [[sign * x for x in row[n:]] for row in a]
+
+
+def left_kernel(mat):
+    """Integer rows spanning { y : y @ A = 0 } over Q, for a rational A."""
+    # y @ A = 0 iff A^T y = 0, and scaling the rows of A^T keeps that
+    t, _ = integer_rows(list(zip(*mat)))
+    a, pivots, _ = eliminate(t)
+    p = a[0][pivots[0]] if pivots else 1
     basis = []
-    for f in free:
-        y = [Fraction(0)] * n
-        y[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            y[c] = -t[i][f]
-        basis.append(tuple(y))
+    for f in range(len(mat)):
+        if f not in pivots:
+            y = [0] * len(mat)
+            y[f] = p
+            for row, c in zip(a, pivots):
+                y[c] = -row[f]
+            basis.append(tuple(y))
     return basis
-
-
-def clear_denominators(vec):
-    """Scale a rational vector to a primitive-ish integer vector."""
-    from math import gcd, lcm
-
-    denom = 1
-    for x in vec:
-        denom = lcm(denom, Fraction(x).denominator)
-    ints = [int(Fraction(x) * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)

@@ -16,8 +16,8 @@ is validated exactly:
   (M_i - M_j) t + (c_i - c_j) must avoid Z^q for every real t.  This is
   decided exactly over the rationals: writing D = M_i - M_j and
   e = c_i - c_j, a collision exists iff some z in Z^q satisfies
-  U z = U e where the rows of U span the left kernel of D.  After
-  clearing denominators that is a lattice membership test.
+  U z = U e where the integer rows of U span the left kernel of D,
+  which is a lattice membership test.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlinalg import (
-    clear_denominators,
-    lattice_contains,
-    lattice_from_generators,
-    rational_left_kernel,
-)
+from .intlinalg import integer_rows, lattice_contains, lattice_from_generators, left_kernel
 from .semidirect import DimensionMismatchError, Permutation, SemidirectElement
 
 
@@ -75,6 +70,20 @@ class AffineLiftFactor:
             + self.offset[i]
             for i in range(self.q)
         )
+
+    def fixed_point_system(self):
+        """The system (E - M) t = c with each row scaled to integers.
+
+        Returns ``(matrix, rhs, scales)``: row r is ``scales[r]`` times row r
+        of [E - M | c], so (E - M) t = c + alpha has the integer right-hand
+        side ``rhs[r] + scales[r] * alpha[r]``.
+        """
+        q = self.q
+        rows, scales = integer_rows(
+            [[int(r == c) - self.linear[r][c] for c in range(q)] + [self.offset[r]]
+             for r in range(q)]
+        )
+        return [row[:q] for row in rows], [row[q] for row in rows], scales
 
 
 @dataclass(frozen=True)
@@ -137,22 +146,16 @@ def _images_collide(fi: AffineLiftFactor, fj: AffineLiftFactor) -> bool:
     q = fi.q
     diff = [[fi.linear[r][c] - fj.linear[r][c] for c in range(q)] for r in range(q)]
     e = [fi.offset[r] - fj.offset[r] for r in range(q)]
-    kernel = rational_left_kernel(diff)
+    kernel = left_kernel(diff)
     if not kernel:
         # D nonsingular: D t + e hits every point of R^q
         return True
-    # z in Z^q with (row . z) = (row . e) for every kernel row; the test is
-    # invariant under row scaling, so scale rows to integers first
-    int_rows = []
-    rhs = []
-    for row in kernel:
-        scaled = clear_denominators(row)
-        int_rows.append(scaled)
-        rhs.append(sum((Fraction(s) * Fraction(x) for s, x in zip(scaled, e)), Fraction(0)))
+    # z in Z^q with (row . z) = (row . e) for every integer kernel row
+    rhs = [sum((y * x for y, x in zip(row, e)), Fraction(0)) for row in kernel]
     if any(b.denominator != 1 for b in rhs):
         return False
-    r = len(int_rows)
-    columns = [tuple(int_rows[i][c] for i in range(r)) for c in range(q)]
+    r = len(kernel)
+    columns = [tuple(row[c] for row in kernel) for c in range(q)]
     lattice = lattice_from_generators(columns, r)
     target = tuple(int(b) for b in rhs)
     return lattice_contains(lattice, target)
@@ -231,22 +234,31 @@ def psi_of(data: PsiData, z) -> SemidirectElement:
 # constructors for the standard map families
 
 
-def make_linear(n: int, matrix) -> LiftSystem:
-    """Linear n-valued torus map: factors t |-> (A t + (i, ..., i)) / n.
-
-    Requires every pair of rows of the integer matrix A to be congruent
-    entrywise mod n.
-    """
-    a = [list(map(int, row)) for row in matrix]
+def require_congruent_rows(n: int, a):
+    """Check n >= 1 and that the rows of the square integer matrix ``a``
+    are pairwise congruent entrywise mod n."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     q = len(a)
-    if any(len(row) != q for row in a):
-        raise ValueError("matrix must be square")
     for r in range(q):
         for s in range(r + 1, q):
             if any((a[r][c] - a[s][c]) % n != 0 for c in range(q)):
                 raise RowsNotCongruentError(
                     f"rows {r + 1} and {s + 1} are not congruent mod {n}"
                 )
+
+
+def make_linear(n: int, matrix) -> LiftSystem:
+    """Linear n-valued torus map: factors t |-> (A t + (i, ..., i)) / n.
+
+    Requires n >= 1 and every pair of rows of the integer matrix A to be
+    congruent entrywise mod n.
+    """
+    a = [list(map(int, row)) for row in matrix]
+    q = len(a)
+    if any(len(row) != q for row in a):
+        raise ValueError("matrix must be square")
+    require_congruent_rows(n, a)
     linear = [[Fraction(a[r][c], n) for c in range(q)] for r in range(q)]
     factors = [
         (linear, [Fraction(i, n)] * q)

@@ -21,19 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
-
-import numpy as np
 
 from .fixedpoints import InfiniteClassesError, SingularLinearPartError
-from .intlinalg import (
-    coset_reduce,
-    frac_identity,
-    frac_mat_vec,
-    is_infinite,
-    rational_det,
-    rational_inverse,
-)
+from .intlinalg import adjugate, coset_reduce, is_infinite
 from .liftsystems import LiftSystem, PsiData, psi_of
 from .reidemeister import ReidemeisterReport, reidemeister_number
 
@@ -177,6 +167,8 @@ class _BatchedUnionFind:
     """Union-find over integer cells with vectorized batched finds."""
 
     def __init__(self, size: int):
+        import numpy as np
+
         self.parent = np.arange(size, dtype=np.int64)
 
     def find_many(self, idx):
@@ -191,6 +183,8 @@ class _BatchedUnionFind:
         return roots
 
     def union_pairs(self, a_roots, b_roots):
+        import numpy as np
+
         parent = self.parent
         mask = a_roots != b_roots
         if not mask.any():
@@ -214,8 +208,9 @@ class _BatchedUnionFind:
                     parent[rx] = ry
 
     def roots(self):
-        idx = np.arange(len(self.parent))
-        return self.find_many(idx)
+        import numpy as np
+
+        return self.find_many(np.arange(len(self.parent)))
 
 
 def brute_classes(data: PsiData, cfg: OracleConfig):
@@ -224,6 +219,8 @@ def brute_classes(data: PsiData, cfg: OracleConfig):
     Returns a list of classes, each a frozenset of (alpha, i) pairs; the
     list is sorted by each class's minimal member for determinism.
     """
+    import numpy as np
+
     n, q = data.n, data.q
     B, G = cfg.box_bound, cfg.word_bound
     side = 2 * B + 1
@@ -371,37 +368,28 @@ def brute_fixed_points(sys: LiftSystem, box_bound: int):
     :class:`SingularLinearPartError` if any factor is degenerate.
 
     The box is walked incrementally: stepping alpha by a unit vector adds
-    one precomputed inverse column, so each cell costs q additions rather
+    one precomputed adjugate column, so each cell costs q additions rather
     than a fresh solve.
     """
     q = sys.q
-    identity = frac_identity(q)
     points = set()
     for i, factor in enumerate(sys.factors, start=1):
-        e_minus_m = [
-            [identity[r][c] - factor.linear[r][c] for c in range(q)] for r in range(q)
-        ]
-        if rational_det(e_minus_m) == 0:
+        mat, offset, scales = factor.fixed_point_system()
+        det, adj = adjugate(mat)
+        if det == 0:
             raise SingularLinearPartError(
                 f"factor {i} has det(E - M) = 0: fixed point set not isolated"
             )
-        inverse = rational_inverse(e_minus_m)
-        # t at the box corner alpha = (-B, ..., -B)
-        start = frac_mat_vec(
-            inverse, [factor.offset[r] - box_bound for r in range(q)]
+        # t = adj (offset + scales * alpha) / det; work mod 1 with the one
+        # denominator m = |det|, so points are int tuples until the end
+        sign, m = (det > 0) - (det < 0), abs(det)
+        corner = [offset[r] - scales[r] * box_bound for r in range(q)]
+        base0 = tuple(
+            (sign * sum(x * y for x, y in zip(row, corner))) % m for row in adj
         )
-        # work mod 1 with one common denominator: points become int tuples
-        denom = 1
-        for row in inverse:
-            for x in row:
-                denom = lcm(denom, x.denominator)
-        for x in start:
-            denom = lcm(denom, x.denominator)
         cols = [
-            tuple(int(inverse[r][d] * denom) % denom for r in range(q))
-            for d in range(q)
+            tuple(sign * adj[r][d] * scales[d] % m for r in range(q)) for d in range(q)
         ]
-        base0 = tuple(int(x * denom) % denom for x in start)
         local = set()
 
         def walk(d, base):
@@ -413,10 +401,8 @@ def brute_fixed_points(sys: LiftSystem, box_bound: int):
             for step in range(2 * box_bound + 1):
                 walk(d + 1, current)
                 if step < 2 * box_bound:
-                    current = tuple((x + y) % denom for x, y in zip(current, col))
+                    current = tuple((x + y) % m for x, y in zip(current, col))
 
         walk(0, base0)
-        points.update(
-            tuple(Fraction(x, denom) for x in scaled) for scaled in local
-        )
+        points.update(tuple(Fraction(x, m) for x in scaled) for scaled in local)
     return sorted(points)

@@ -237,3 +237,54 @@ class TestGoldenFiles:
         code, text = run_cli(["analyze", torus3_path, "--format", "structured"])
         assert code == 0
         assert text == golden.read_text()
+
+
+class TestBoundaryErrors:
+    """Bad inputs exit 1 with one error line instead of a traceback."""
+
+    @staticmethod
+    def _one_error(capsys, args):
+        code, _ = run_cli(args)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("nvalued: error:"), err
+
+    def test_linear_n_zero(self, capsys):
+        self._one_error(capsys, ["linear", "--n", "0", "--matrix", "1"])
+
+    def test_non_integer_field(self, capsys, tmp_path):
+        path = tmp_path / "circle.map"
+        path.write_text(json.dumps({"kind": "circle", "n": 2.7, "d": 1}))
+        self._one_error(capsys, ["analyze", str(path)])
+
+    def test_split_part_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "split.map"
+        path.write_text(json.dumps({"kind": "split", "parts": [{"A": [[2]], "b": ["0"]}, 5]}))
+        self._one_error(capsys, ["analyze", str(path)])
+
+
+class TestSinglePass:
+    def test_one_reidemeister_report_per_command(self, monkeypatch, torus3_path):
+        import sys
+
+        from nvalued import reidemeister
+
+        original = reidemeister.reidemeister_number
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # every module that imported the function holds its own binding
+        for name, module in list(sys.modules.items()):
+            if name == "nvalued" or name.startswith("nvalued."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        oracle = ["oracle-check", torus3_path, "--box", "4", "--word", "4"]
+        for argv in (["analyze", torus3_path], oracle):
+            calls.clear()
+            code, _ = run_cli(argv)
+            assert code == 0
+            assert len(calls) == 1, argv

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,13 +12,16 @@ from nvalued.intlinalg import (
     INFINITE,
     InfiniteIndexError,
     SingularMatrixError,
+    adjugate,
     coset_reduce,
     coset_representatives,
+    eliminate,
     hermite_normal_form,
     is_infinite,
     lattice_contains,
     lattice_from_generators,
     lattice_index,
+    left_kernel,
     mat_mul,
     rational_det,
     smith_normal_form,
@@ -253,6 +256,7 @@ class TestSublattice:
                 ):
                     residues.append(v)
             assert len(residues) == idx
+            assert idx == prod(smith_normal_form([list(r) for r in lat.basis]))
             checked += 1
 
 
@@ -284,6 +288,63 @@ class TestSolve:
     def test_singular(self):
         with pytest.raises(SingularMatrixError):
             solve_rational([[1, 1], [1, 1]], [0, 1])
+
+
+class TestEliminationKernel:
+    """The fraction-free kernel against sympy on seeded random rational
+    matrices with q <= 6, many of them rank-deficient."""
+
+    @staticmethod
+    def _random_matrix(rng, rows, cols):
+        density = rng.random()
+        mat = [
+            [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 5)) * (rng.random() < density)
+                for _ in range(cols)
+            ]
+            for _ in range(rows)
+        ]
+        if rows > 2 and rng.random() < 0.4:
+            mat[-1] = [2 * a - b for a, b in zip(mat[0], mat[1])]
+        return mat
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(41)
+        for _ in range(150):
+            q = rng.randint(1, 6)
+            a = self._random_matrix(rng, q, q)
+            s = sympy.Matrix(a)
+            det = s.det()
+            assert rational_det(a) == Fraction(int(det.p), int(det.q)), a
+            if det != 0:
+                b = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(q)]
+                want = s.LUsolve(sympy.Matrix(b))
+                assert solve_rational(a, b) == tuple(Fraction(int(x.p), int(x.q)) for x in want)
+            ints = [[x.numerator for x in row] for row in a]
+            d, adj = adjugate(ints)
+            assert d == sympy.Matrix(ints).det()
+            if d == 0:
+                assert adj is None
+            else:
+                assert sympy.Matrix(adj) == sympy.Matrix(ints).adjugate()
+            rect = self._random_matrix(rng, rng.randint(1, 6), q)
+            kernel = left_kernel(rect)
+            assert len(kernel) == len(rect) - sympy.Matrix(rect).rank()
+            if kernel:
+                assert sympy.Matrix(kernel).rank() == len(kernel)
+                zero = sympy.zeros(len(kernel), q)
+                assert sympy.Matrix(kernel) * sympy.Matrix(rect) == zero
+
+    def test_reduced_rows(self):
+        # pivot rows share one pivot value, rows past the rank vanish
+        a, pivots, det = eliminate([[0, 2, 4], [0, 1, 2], [3, 0, 1]])
+        assert pivots == [0, 1] and det == 0
+        p = a[0][0]
+        assert a[1][1] == p and a[0][1] == a[1][0] == 0
+        assert a[2] == [0, 0, 0]
+        assert eliminate([[0, 1], [1, 0]])[2] == -1
+        assert eliminate([[2, 1, 7], [1, 1, 4]], 2)[1] == [0, 1]
 
 
 def test_infinite_symbol():
