@@ -95,10 +95,20 @@ def _parse_int(value, what):
     return int(x)
 
 
-def _int_matrix(rows, what):
+def _rows(rows, what):
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise DocumentError(f"{what} must be a list of rows")
-    return [[_parse_int(x, f"entry of {what}") for x in row] for row in rows]
+    return rows
+
+
+def _int_matrix(rows, what):
+    return [[_parse_int(x, f"entry of {what}") for x in row] for row in _rows(rows, what)]
+
+
+def _fraction_vector(values, what):
+    if not isinstance(values, list):
+        raise DocumentError(f"{what} must be a list")
+    return [_parse_fraction(x) for x in values]
 
 
 def _require_fields(doc, required, optional=()):
@@ -137,8 +147,8 @@ def build_system(doc) -> tuple:
             raise DocumentError(f"expected exactly {n} factors")
         for fac in doc["factors"]:
             _require_fields(fac, ("linear", "offset"))
-            linear = [[_parse_fraction(x) for x in row] for row in fac["linear"]]
-            offset = [_parse_fraction(x) for x in fac["offset"]]
+            linear = [[_parse_fraction(x) for x in row] for row in _rows(fac["linear"], "linear")]
+            offset = _fraction_vector(fac["offset"], "offset")
             if len(linear) != q or any(len(r) != q for r in linear) or len(offset) != q:
                 raise DocumentError("factor dimensions disagree with q")
             factors.append((linear, offset))
@@ -157,7 +167,7 @@ def build_system(doc) -> tuple:
         for part in doc["parts"]:
             _require_fields(part, ("A", "b"))
             a = _int_matrix(part["A"], "A")
-            b = [_parse_fraction(x) for x in part["b"]]
+            b = _fraction_vector(part["b"], "b")
             parts.append((a, b))
         return kind, make_split(parts)
     raise DocumentError(
@@ -192,10 +202,14 @@ def load_graph_document(path):
         if parts[0] == "edge" and len(parts) == 3:
             edges.append((parts[1], parts[2]))
             vertices.update(parts[1:])
-        elif parts[0] == "token" and len(parts) == 3:
-            tokens[int(parts[1])] = parts[2]
-        elif parts[0] == "goal" and len(parts) == 3:
-            goals[int(parts[1])] = parts[2]
+        elif parts[0] in ("token", "goal") and len(parts) == 3:
+            try:
+                token = int(parts[1])
+            except ValueError:
+                raise DocumentError(
+                    f"{path}:{lineno}: token id {parts[1]!r} is not an integer"
+                ) from None
+            (tokens if parts[0] == "token" else goals)[token] = parts[2]
         else:
             raise DocumentError(f"{path}:{lineno}: cannot parse {raw.strip()!r}")
     if not tokens:

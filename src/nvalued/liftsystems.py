@@ -10,20 +10,29 @@ is validated exactly:
 * equivariance: for each standard generator e_k of Z^q and each index i
   there must be exactly one index j with M_i = M_j and
   M_i e_k + c_i - c_j in Z^q; these data assemble the homomorphism
-  psi: Z^q -> (Z^q)^n x| Sigma_n recorded on generators;
+  psi: Z^q -> (Z^q)^n x| Sigma_n recorded on generators.  The partner j
+  is one dictionary lookup: factors are grouped by linear part and keyed
+  by their offsets reduced mod Z^q;
 * commutation: the q generator images must commute;
 * no collision: for i != j the affine difference
-  (M_i - M_j) t + (c_i - c_j) must avoid Z^q for every real t.  This is
+  (M_i - M_j) t + (c_i - c_j) must avoid Z^q for every real t.  When
+  M_i = M_j the difference is the constant c_i - c_j, so the two factors
+  collide iff their offsets agree mod Z^q: equal keys in the same
+  dictionary, found in the one pass that builds it.  Otherwise it is
   decided exactly over the rationals: writing D = M_i - M_j and
   e = c_i - c_j, a collision exists iff some z in Z^q satisfies
   U z = U e where the integer rows of U span the left kernel of D,
   which is a lattice membership test.
+
+A :class:`LiftSystem` is validated once: its ``psi`` property caches the
+result of :func:`validate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .intlinalg import integer_rows, lattice_contains, lattice_from_generators, left_kernel
 from .semidirect import DimensionMismatchError, Permutation, SemidirectElement
@@ -98,6 +107,12 @@ class LiftSystem:
     def q(self) -> int:
         return self.factors[0].q
 
+    @cached_property
+    def psi(self) -> PsiData:
+        """The validated psi of this system, computed by :func:`validate`
+        on first use and kept; raises what :func:`validate` raises."""
+        return validate(self)
+
 
 @dataclass(frozen=True)
 class PsiData:
@@ -136,6 +151,8 @@ def lift_system(factor_data) -> LiftSystem:
     if not factors:
         raise ValueError("a lift system needs at least one factor")
     q = factors[0].q
+    if q < 1:
+        raise ValueError("the torus dimension q must be at least 1")
     if any(f.q != q for f in factors):
         raise ValueError("all factors must share the same ambient dimension")
     return LiftSystem(factors)
@@ -161,37 +178,63 @@ def _images_collide(fi: AffineLiftFactor, fj: AffineLiftFactor) -> bool:
     return lattice_contains(lattice, target)
 
 
+def _residue_key(vec):
+    """The rational vector ``vec`` reduced mod Z^q, as a hashable key."""
+    return tuple((x.numerator % x.denominator, x.denominator) for x in vec)
+
+
+def _first_collision(factors, group, same):
+    """The lexicographically first colliding pair (i, j), i < j, or None.
+
+    ``group[i]`` numbers the linear part of factor i, and ``same`` is the
+    first colliding pair with equal linear parts (or None).  Pairs whose
+    linear parts differ, and that come before ``same``, run the exact
+    test of :func:`_images_collide`.
+    """
+    n = len(factors)
+    if len(set(group)) == 1:  # one linear part: no pair needs the exact test
+        return same
+    stop_i, stop_j = same or (n, n)
+    for i in range(min(stop_i + 1, n)):
+        for j in range(i + 1, stop_j if i == stop_i else n):
+            if group[i] != group[j] and _images_collide(factors[i], factors[j]):
+                return i, j
+    return same
+
+
 def validate(sys: LiftSystem) -> PsiData:
     """Check that the system defines an n-valued torus map; derive psi.
 
     Raises CollisionError / NotEquivariantError / AmbiguousLiftError /
-    NotCommutingError as appropriate.
+    NotCommutingError as appropriate.  Use ``sys.psi`` to validate a
+    system once and keep the result.
     """
     n, q = sys.n, sys.q
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _images_collide(sys.factors[i], sys.factors[j]):
-                raise CollisionError(
-                    f"factors {i + 1} and {j + 1} meet modulo Z^{q}: "
-                    "the system does not map into the configuration space"
-                )
+    factors = sys.factors
+    groups = {}  # linear part -> group number
+    group = []  # group number of each factor
+    keyed = {}  # (group number, offset mod Z^q) -> factor indices, ascending
+    for i, f in enumerate(factors):
+        g = groups.setdefault(f.linear, len(groups))
+        group.append(g)
+        keyed.setdefault((g, _residue_key(f.offset)), []).append(i)
+    # equal linear parts collide iff their offsets agree mod Z^q
+    same = min((ix[:2] for ix in keyed.values() if len(ix) > 1), default=None)
+    pair = _first_collision(factors, group, same)
+    if pair is not None:
+        i, j = pair
+        raise CollisionError(
+            f"factors {i + 1} and {j + 1} meet modulo Z^{q}: "
+            "the system does not map into the configuration space"
+        )
     images = []
     for k in range(q):
-        e_k = tuple(Fraction(int(c == k)) for c in range(q))
         sigma_inv = [0] * n  # sigma^{-1}(i), 1-based values
         phi = [None] * n
-        for i in range(n):
-            fi = sys.factors[i]
-            shift = fi(e_k)  # M_i e_k + c_i
-            matches = []
-            for j in range(n):
-                fj = sys.factors[j]
-                if fi.linear != fj.linear:
-                    continue
-                # M_i e_k + c_i - c_j must be integral
-                diff = tuple(shift[r] - fj.offset[r] for r in range(q))
-                if all(d.denominator == 1 for d in diff):
-                    matches.append((j, tuple(int(d) for d in diff)))
+        for i, fi in enumerate(factors):
+            shift = [row[k] + c for row, c in zip(fi.linear, fi.offset)]  # M_i e_k + c_i
+            # partner j: same linear part, M_i e_k + c_i - c_j integral
+            matches = keyed.get((group[i], _residue_key(shift)), ())
             if not matches:
                 raise NotEquivariantError(
                     f"factor {i + 1} has no deck partner under generator e_{k + 1}"
@@ -201,9 +244,13 @@ def validate(sys: LiftSystem) -> PsiData:
                     f"factor {i + 1} has several deck partners under generator "
                     f"e_{k + 1}; this implies a collision"
                 )
-            j, vec = matches[0]
+            j = matches[0]
             sigma_inv[i] = j + 1
-            phi[i] = vec
+            # equal residues: the difference is the difference of the floors
+            phi[i] = tuple(
+                s.numerator // s.denominator - c.numerator // c.denominator
+                for s, c in zip(shift, factors[j].offset)
+            )
         if sorted(sigma_inv) != list(range(1, n + 1)):
             raise AmbiguousLiftError(
                 f"deck partners under generator e_{k + 1} do not form a permutation"
@@ -265,7 +312,7 @@ def make_linear(n: int, matrix) -> LiftSystem:
         for i in range(1, n + 1)
     ]
     sys = lift_system(factors)
-    validate(sys)
+    sys.psi  # validate now; the result stays cached on the system
     return sys
 
 
@@ -278,7 +325,7 @@ def make_circle(n: int, d: int) -> LiftSystem:
         for j in range(1, n + 1)
     ]
     sys = lift_system(factors)
-    validate(sys)
+    sys.psi  # validate now; the result stays cached on the system
     return sys
 
 
@@ -294,7 +341,7 @@ def make_split(parts) -> LiftSystem:
         a = [list(map(int, row)) for row in a]
         factors.append((a, [Fraction(x) for x in b]))
     sys = lift_system(factors)
-    data = validate(sys)
+    data = sys.psi
     # integral linear parts force sigma = id (a nontrivial partner would be
     # a collision); assert rather than trust
     for img in data.generator_images:

@@ -30,7 +30,7 @@ from .intlinalg import (
     vec_add,
     vec_sub,
 )
-from .liftsystems import PsiData, psi_of, validate
+from .liftsystems import PsiData, psi_of
 
 
 class NotInStabilizerError(ValueError):
@@ -180,7 +180,7 @@ def class_count(data: PsiData, i: int):
 
 def reidemeister_number(sys_or_data) -> ReidemeisterReport:
     """Full Reidemeister report of a lift system (or pre-validated PsiData)."""
-    data = sys_or_data if isinstance(sys_or_data, PsiData) else validate(sys_or_data)
+    data = sys_or_data if isinstance(sys_or_data, PsiData) else sys_or_data.psi
     sigma = sigma_classes(data)
     blocks = []
     total = 0

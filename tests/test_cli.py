@@ -4,8 +4,11 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from nvalued.cli import (
+    DocumentError,
     build_report,
     build_system,
     load_graph_document,
@@ -23,6 +26,29 @@ TORUS3_DOC = {
         {"linear": [["-1", "0"], ["0", "-1"]], "offset": ["0", "1/2"]},
     ],
 }
+
+
+# a custom factor's linear part or offset, or a split part's b, that is
+# not a list
+NOT_A_LIST_DOCS = [
+    {"kind": "custom", "n": 1, "q": 1, "factors": [{"linear": 5, "offset": ["0"]}]},
+    {"kind": "custom", "n": 1, "q": 1, "factors": [{"linear": [["1"]], "offset": 7}]},
+    {"kind": "split", "parts": [{"A": [[2]], "b": 5}]},
+]
+
+
+# small values for the fuzzed documents: well-formed entries are small
+# integers or rationals, junk is any JSON value
+SMALL = st.integers(-4, 4)
+ENTRY = st.one_of(SMALL, st.sampled_from(["1/2", "-2/3", "1/3", "3/4"]))
+JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), SMALL, st.floats(allow_nan=False, width=16),
+              st.sampled_from(["", "x", "1/0", "2.5", "1/2"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["kind", "n", "A"]), inner,
+                                            max_size=2)),
+    max_leaves=4,
+)
 
 
 def run_cli(args):
@@ -82,6 +108,9 @@ class TestDocuments:
         path.write_text("vertex a\n")
         with pytest.raises(ValueError):
             load_graph_document(str(path))  # unknown directive
+        path.write_text("edge a b\ntoken x a\ngoal x b\n")
+        with pytest.raises(DocumentError, match=r"bad\.graph:2: token id 'x'"):
+            load_graph_document(str(path))  # token id not an integer
 
 
 class TestAnalyze:
@@ -262,29 +291,146 @@ class TestBoundaryErrors:
         path.write_text(json.dumps({"kind": "split", "parts": [{"A": [[2]], "b": ["0"]}, 5]}))
         self._one_error(capsys, ["analyze", str(path)])
 
+    @pytest.mark.parametrize("doc", NOT_A_LIST_DOCS, ids=["linear", "offset", "b"])
+    def test_field_not_a_list(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.map"
+        path.write_text(json.dumps(doc))
+        self._one_error(capsys, ["analyze", str(path)])
+
+    def test_zero_dimensional_torus(self, capsys, tmp_path):
+        path = tmp_path / "q0.map"
+        path.write_text(json.dumps({"kind": "split", "parts": [{"A": [], "b": []}]}))
+        self._one_error(capsys, ["analyze", str(path)])
+
+
+def count_calls(monkeypatch, original):
+    """Replace every ``nvalued`` binding of ``original`` by a counting
+    wrapper; returns the list that gets one entry per call."""
+    import sys
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # every module that imported the function holds its own binding
+    for name, module in list(sys.modules.items()):
+        if name == "nvalued" or name.startswith("nvalued."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
 
 class TestSinglePass:
     def test_one_reidemeister_report_per_command(self, monkeypatch, torus3_path):
-        import sys
-
         from nvalued import reidemeister
 
-        original = reidemeister.reidemeister_number
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        # every module that imported the function holds its own binding
-        for name, module in list(sys.modules.items()):
-            if name == "nvalued" or name.startswith("nvalued."):
-                for key, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, key, counted)
+        calls = count_calls(monkeypatch, reidemeister.reidemeister_number)
         oracle = ["oracle-check", torus3_path, "--box", "4", "--word", "4"]
         for argv in (["analyze", torus3_path], oracle):
             calls.clear()
             code, _ = run_cli(argv)
             assert code == 0
             assert len(calls) == 1, argv
+
+    def test_one_validation_per_command(self, monkeypatch, tmp_path, torus3_path):
+        from nvalued import liftsystems
+
+        calls = count_calls(monkeypatch, liftsystems.validate)
+        linear = tmp_path / "linear.map"
+        linear.write_text(json.dumps({"kind": "linear", "n": 3, "A": [[1, 1], [1, 1]]}))
+        commands = [
+            ["analyze", torus3_path],
+            ["analyze", str(linear)],
+            ["circle", "--n", "4", "--d", "-3"],
+            ["linear", "--n", "3", "--matrix", "1 1; 1 1"],
+            ["split", "--parts", "2 | 0; 2 | 1/2"],
+            ["oracle-check", torus3_path, "--box", "4", "--word", "4"],
+            ["oracle-check", str(linear), "--box", "4", "--word", "4"],
+        ]
+        for argv in commands:
+            calls.clear()
+            code, _ = run_cli(argv)
+            assert code == 0
+            assert len(calls) == 1, argv
+
+    def test_equal_linear_parts_need_no_elimination(self, monkeypatch):
+        from nvalued import intlinalg
+        from nvalued.liftsystems import make_circle
+
+        calls = count_calls(monkeypatch, intlinalg.left_kernel)
+        make_circle(60, 7)
+        assert calls == []
+
+
+@st.composite
+def well_formed_documents(draw):
+    """A map document of any kind with fields of the right shapes and
+    sizes n <= 4, q <= 2; its values may still describe an invalid map."""
+    q = draw(st.integers(1, 2))
+    matrix = st.lists(st.lists(ENTRY, min_size=q, max_size=q), min_size=q, max_size=q)
+    vector = st.lists(ENTRY, min_size=q, max_size=q)
+    kind = draw(st.sampled_from(["circle", "linear", "split", "custom"]))
+    if kind == "circle":
+        return {"kind": kind, "n": draw(st.integers(1, 4)), "d": draw(SMALL)}
+    if kind == "linear":
+        return {"kind": kind, "n": draw(st.integers(1, 4)), "A": draw(matrix)}
+    if kind == "split":
+        parts = draw(st.lists(st.fixed_dictionaries({"A": matrix, "b": vector}),
+                              min_size=1, max_size=3))
+        return {"kind": kind, "parts": parts}
+    factors = draw(st.lists(st.fixed_dictionaries({"linear": matrix, "offset": vector}),
+                            min_size=1, max_size=3))
+    return {"kind": kind, "n": len(factors), "q": q, "factors": factors}
+
+
+def _break(draw, doc):
+    """Replace, drop or add one field somewhere in ``doc``."""
+    holders = [doc] + [d for key in ("parts", "factors") for d in doc.get(key, [])]
+    holder = draw(st.sampled_from(holders))
+    action = draw(st.sampled_from(["replace", "drop", "add"]))
+    key = draw(st.sampled_from(sorted(holder)))
+    if action == "replace":
+        holder[key] = draw(JUNK)
+    elif action == "drop":
+        del holder[key]
+    else:
+        holder["extra"] = draw(JUNK)
+    return doc
+
+
+@st.composite
+def map_documents(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JUNK)
+    doc = draw(well_formed_documents())
+    return _break(draw, doc) if draw(st.booleans()) else doc
+
+
+class TestFuzzBoundary:
+    """``main`` on small random map documents, well formed or broken, exits
+    0, 1 or 2 with at most one line on stderr, never with a traceback."""
+
+    @example(doc=NOT_A_LIST_DOCS[0], command="analyze")
+    @example(doc=NOT_A_LIST_DOCS[1], command="analyze")
+    @example(doc=NOT_A_LIST_DOCS[2], command="analyze")
+    @given(doc=map_documents(), command=st.sampled_from(["analyze", "oracle-check"]))
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_code_and_one_line(self, capsys, tmp_path, doc, command):
+        path = tmp_path / "fuzz.map"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command == "oracle-check":
+            argv += ["--box", "2", "--word", "2"]
+        capsys.readouterr()
+        try:
+            code, _ = run_cli(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert len(err.splitlines()) <= 1, err

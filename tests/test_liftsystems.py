@@ -5,10 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from nvalued.intlinalg import rational_det
 from nvalued.liftsystems import (
     AmbiguousLiftError,
     CollisionError,
+    NotCommutingError,
+    NotEquivariantError,
+    PsiData,
     RowsNotCongruentError,
+    _images_collide,
     lift_system,
     make_circle,
     make_linear,
@@ -18,7 +23,12 @@ from nvalued.liftsystems import (
 )
 from nvalued.semidirect import DimensionMismatchError, Permutation, SemidirectElement
 
-from conftest import random_system, torus3_system
+from conftest import (
+    random_congruent_matrix,
+    random_linear_system,
+    random_system,
+    torus3_system,
+)
 
 
 class TestValidateTorus3:
@@ -203,3 +213,166 @@ class TestReorderingInvariance:
             assert sorted(str(blk.count) for blk in a.blocks) == sorted(
                 str(blk.count) for blk in b.blocks
             )
+
+
+def pairwise_validate(sys):
+    """Reference for :func:`validate`: the earlier pairwise version, with
+    one exact collision test per factor pair and a scan over every factor
+    for each deck partner."""
+    n, q = sys.n, sys.q
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _images_collide(sys.factors[i], sys.factors[j]):
+                raise CollisionError(
+                    f"factors {i + 1} and {j + 1} meet modulo Z^{q}: "
+                    "the system does not map into the configuration space"
+                )
+    images = []
+    for k in range(q):
+        e_k = tuple(Fraction(int(c == k)) for c in range(q))
+        sigma_inv = [0] * n
+        phi = [None] * n
+        for i in range(n):
+            fi = sys.factors[i]
+            shift = fi(e_k)
+            matches = []
+            for j in range(n):
+                fj = sys.factors[j]
+                if fi.linear != fj.linear:
+                    continue
+                diff = tuple(shift[r] - fj.offset[r] for r in range(q))
+                if all(d.denominator == 1 for d in diff):
+                    matches.append((j, tuple(int(d) for d in diff)))
+            if not matches:
+                raise NotEquivariantError(
+                    f"factor {i + 1} has no deck partner under generator e_{k + 1}"
+                )
+            if len(matches) > 1:
+                raise AmbiguousLiftError(
+                    f"factor {i + 1} has several deck partners under generator "
+                    f"e_{k + 1}; this implies a collision"
+                )
+            j, vec = matches[0]
+            sigma_inv[i] = j + 1
+            phi[i] = vec
+        if sorted(sigma_inv) != list(range(1, n + 1)):
+            raise AmbiguousLiftError(
+                f"deck partners under generator e_{k + 1} do not form a permutation"
+            )
+        perm = Permutation(tuple(sigma_inv)).inverse()
+        images.append(SemidirectElement(tuple(phi), perm))
+    for a in range(q):
+        for b in range(a + 1, q):
+            if images[a].compose(images[b]) != images[b].compose(images[a]):
+                raise NotCommutingError(
+                    f"generator images e_{a + 1} and e_{b + 1} do not commute"
+                )
+    return PsiData(n, q, tuple(images))
+
+
+def _scaled(a, m):
+    return [[Fraction(x, m) for x in row] for row in a]
+
+
+def _family_factors(rng):
+    """(linear, offset) pairs of a random system, valid or not: circle,
+    linear, split with shared first rows, or custom unions of blocks."""
+    kind = rng.choice(["circle", "linear", "split", "custom"])
+    if kind == "circle":
+        n, d = rng.randint(1, 8), rng.randint(-12, 12)
+        return [([[Fraction(d, n)]], [Fraction(j, n)]) for j in range(n)]
+    if kind == "linear":
+        n, rows, _ = random_linear_system(rng, nonzero_nielsen=False)
+        q = len(rows)
+        return [(_scaled(rows, n), [Fraction(i, n)] * q) for i in range(1, n + 1)]
+    q = rng.randint(1, 3)
+    if kind == "split":
+        # shared first row, offsets apart in coordinate 1: singular
+        # differences, so the cross-part pairs run the exact test
+        first = [rng.randint(-2, 2) for _ in range(q)]
+        denom = rng.randint(4, 6)
+        factors = []
+        for off in rng.sample(range(denom), rng.randint(1, 4)):
+            a = [first] + [[rng.randint(-2, 2) for _ in range(q)] for _ in range(q - 1)]
+            b = [Fraction(off, denom)] + [Fraction(rng.randint(0, 3), 4) for _ in range(q - 1)]
+            factors.append((_scaled(a, 1), b))
+        return factors
+    if rng.random() < 0.2:
+        return [(f.linear, f.offset) for f in torus3_system().factors]
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        # one block: a linear map's factors with a common extra offset
+        m = rng.randint(1, 3)
+        rows = random_congruent_matrix(rng, m, q)
+        base = [Fraction(rng.randint(0, 5), 6) for _ in range(q)]
+        factors += [(_scaled(rows, m), [x + Fraction(i, m) for x in base])
+                    for i in range(m)]
+    return factors
+
+
+def _integer_shift(rng, offset):
+    return [x + rng.randint(-2, 2) for x in offset]
+
+
+def _perturbed_system(rng):
+    """A shuffled, integer-shifted family system, sometimes with injected
+    collisions (equal offsets mod Z^q, or a nonsingular linear-part
+    difference) and sometimes with an offset moved off its deck partner."""
+    factors = _family_factors(rng)
+    q = len(factors[0][1])
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        lin, off = rng.choice(factors)
+        if rng.random() < 0.5:
+            extra = (lin, _integer_shift(rng, off))
+        else:
+            while True:
+                d = [[rng.randint(-2, 2) for _ in range(q)] for _ in range(q)]
+                if rational_det(d) != 0:
+                    break
+            extra = ([[x + y for x, y in zip(r, s)] for r, s in zip(lin, d)],
+                     [Fraction(rng.randint(0, 7), 8) for _ in range(q)])
+        factors.insert(rng.randint(0, len(factors)), extra)
+    if rng.random() < 0.25:
+        k = rng.randrange(len(factors))
+        lin, off = factors[k]
+        off = list(off)
+        off[rng.randrange(q)] += Fraction(1, rng.choice([5, 7, 11]))
+        factors[k] = (lin, off)
+    rng.shuffle(factors)
+    return lift_system([(lin, _integer_shift(rng, off)) for lin, off in factors])
+
+
+def _outcome(fn, sys):
+    try:
+        return fn(sys)
+    except (CollisionError, NotEquivariantError, AmbiguousLiftError, NotCommutingError) as exc:
+        return type(exc), str(exc)
+
+
+class TestValidateAgainstPairwise:
+    def test_same_psi_or_same_error(self):
+        rng = random.Random(0x5EED)
+        seen = set()
+        for _ in range(400):
+            sys = _perturbed_system(rng)
+            expect = _outcome(pairwise_validate, sys)
+            assert _outcome(validate, sys) == expect, sys
+            seen.add(expect[0] if isinstance(expect, tuple) else PsiData)
+        assert {PsiData, CollisionError, NotEquivariantError} <= seen
+
+    def test_first_pair_in_lexicographic_order(self):
+        # B - A = [[0, 0], [1, 0]]: factors of A and B meet iff their first
+        # offset coordinates agree mod 1; equal parts meet iff the offsets do
+        a, b = [[1, 0], [0, 1]], [[1, 0], [1, 1]]
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        cases = [
+            # (1, 4) across parts comes before (2, 3) within part A
+            ([(a, [0, 0]), (a, [half, 0]), (a, [half, 1]), (b, [0, third])], "1 and 4"),
+            # (1, 2) within part A comes before (1, 3) across parts
+            ([(a, [0, 0]), (a, [1, 1]), (b, [0, third])], "1 and 2"),
+        ]
+        for factors, pair in cases:
+            sys = lift_system(factors)
+            with pytest.raises(CollisionError, match=f"factors {pair} meet"):
+                validate(sys)
+            assert _outcome(validate, sys) == _outcome(pairwise_validate, sys)
