@@ -48,12 +48,9 @@ from .liftsystems import (
     validate,
 )
 from .reidemeister import (
-    NotInStabilizerError,
     ReidemeisterReport,
     SigmaClassReport,
-    class_count,
     class_label,
-    phi_restricted,
     reidemeister_number,
     sigma_classes,
 )

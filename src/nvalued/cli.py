@@ -344,7 +344,7 @@ def _parse_matrix(text):
     matrix = []
     for row in rows:
         cells = row.replace(",", " ").split()
-        matrix.append([int(c) for c in cells])
+        matrix.append([_parse_int(c, "matrix entry") for c in cells])
     if not matrix or any(len(r) != len(matrix) for r in matrix):
         raise DocumentError(f"matrix {text!r} is not square")
     return matrix
@@ -367,8 +367,8 @@ def _parse_parts(text):
             raise DocumentError(f"part {chunk!r} needs the form 'matrix | offset'")
         mat_text, off_text = chunk.split("|", 1)
         rows = [r.strip() for r in mat_text.split(",") if r.strip()]
-        matrix = [[int(c) for c in r.split()] for r in rows]
-        offset = [Fraction(c) for c in off_text.split()]
+        matrix = [[_parse_int(c, "matrix entry") for c in r.split()] for r in rows]
+        offset = [_parse_fraction(c) for c in off_text.split()]
         if any(len(r) != len(offset) for r in matrix) or len(matrix) != len(offset):
             raise DocumentError(f"part {chunk!r} has inconsistent dimensions")
         parts.append((matrix, offset))

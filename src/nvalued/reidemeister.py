@@ -5,13 +5,22 @@ indices {1..n}:
 
 1.  The generator permutations of psi generate a subgroup of Sigma_n whose
     orbits partition {1..n} into sigma-classes.
-2.  For a class representative i, the stabilizer
-    S_i = { z in Z^q : sigma_z(i) = i } is a finite-index sublattice,
-    produced from Schreier generators over a BFS transversal.
-3.  phi_i restricted to S_i is a homomorphism Z-linear on the basis, so
-    twisted conjugacy collapses to cosets of the image lattice
-    L_i = (id - phi_i)(S_i): lift-factors (a, i) and (b, i) are
-    equivalent iff a - b lies in L_i.
+2.  Write psi(z) = (a(z); sigma_z).  For a class representative i, one
+    labelled BFS over the class with moves +-e_k finds a transversal t_j
+    (sigma_{t_j}(i) = j) together with the label lambda_j = a(t_j)_j.
+    The labels are plain vector sums along the BFS edges:
+
+        +e_k edge j -> sigma_k(j):      lambda = lambda_j + a(e_k)_{sigma_k(j)}
+        -e_k edge j -> sigma_k^-1(j):   lambda = lambda_j - a(e_k)_j
+
+3.  The stabilizer S_i = { z in Z^q : sigma_z(i) = i } is generated by
+    the Schreier generators s = t_j + e_k - t_j' (j' = sigma_k(j)), and
+    phi_i(s) = a(s)_i = lambda_j + a(e_k)_j' - lambda_j'.  phi_i is linear
+    on S_i, so the HNF of the rows (s, s - phi_i(s)) in Z^{2q} has exactly
+    q rows (h, h - phi_i(h)), one per row h of the canonical basis of
+    S_i.  Twisted conjugacy collapses to cosets of the image lattice
+    L_i = (id - phi_i)(S_i), spanned by the second halves: lift-factors
+    (a, i) and (b, i) are equivalent iff a - b lies in L_i.
 4.  R(f) is the sum over sigma-class representatives of [Z^q : L_i],
     infinity included.
 """
@@ -30,31 +39,24 @@ from .intlinalg import (
     vec_add,
     vec_sub,
 )
-from .liftsystems import PsiData, psi_of
-
-
-class NotInStabilizerError(ValueError):
-    """A vector handed to phi_i does not stabilize the index i."""
+from .liftsystems import PsiData
 
 
 @dataclass(frozen=True)
 class SigmaClass:
     """One orbit of factor indices, with its stabilizer data.
 
-    ``transversal[j]`` is an integer vector z of minimal word length
-    (ties broken lexicographically) with sigma_z(representative) = j.
+    ``transversal[j]`` is an integer vector t of minimal word length
+    (ties broken lexicographically) with sigma_t(representative) = j;
+    ``labels`` holds a(t)_j for the same pairs, in the same order.
     """
 
     members: tuple
     representative: int
     stabilizer: Sublattice
     transversal: tuple  # pairs (j, vector), sorted by j
-
-    def transversal_to(self, j):
-        for member, vec in self.transversal:
-            if member == j:
-                return vec
-        raise KeyError(j)
+    labels: tuple  # a(t_j)_j, aligned with ``transversal``
+    image_lattice: Sublattice  # (id - phi_i)(S_i)
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,12 @@ class ClassBlock:
     """Reidemeister data attached to one sigma-class."""
 
     sigma_class: SigmaClass
-    image_lattice: Sublattice
     count: object  # int or INFINITE
     representatives: tuple  # pairs (alpha, i); empty when count is infinite
+
+    @property
+    def image_lattice(self) -> Sublattice:
+        return self.sigma_class.image_lattice
 
 
 @dataclass(frozen=True)
@@ -88,94 +93,82 @@ class ReidemeisterReport:
 
 
 def _orbit_transversal(data: PsiData, start: int):
-    """Layered BFS over {1..n} with moves +-e_k.
+    """Layered BFS over {1..n} with moves +-e_k, labelled by psi.
 
-    Returns ``{j: z}`` with sigma_z(start) = j.  Since sigma_z depends only
-    on the vector z, minimal words never cancel, so BFS over accumulated
-    vectors yields words of minimal L1 length; within a layer the
-    lexicographically smallest vector per state is kept.
+    Returns ``{j: (t, lam)}`` with sigma_t(start) = j and lam = a(t)_j.
+    Since sigma_t depends only on the vector t, minimal words never
+    cancel, so BFS over accumulated vectors yields words of minimal L1
+    length; within a layer the lexicographically smallest vector per
+    state is kept.
     """
     q = data.q
+    shifts = [img.translations for img in data.generator_images]
     perms = [img.perm for img in data.generator_images]
     inv_perms = [p.inverse() for p in perms]
     zero = tuple([0] * q)
-    best = {start: zero}
-    layer = {start: zero}
+    best = {start: (zero, zero)}
+    layer = dict(best)
     while layer:
         candidates = []
-        for j, word in layer.items():
+        for j, (word, lam) in layer.items():
             for k in range(q):
                 for perm, step in ((perms[k], 1), (inv_perms[k], -1)):
                     target = perm(j)
                     if target in best:
                         continue
                     cand = tuple(word[c] + (step if c == k else 0) for c in range(q))
-                    candidates.append((cand, target))
+                    # psi(t +- e_k) = psi(e_k)^(+-1) psi(t), read at index target
+                    if step == 1:
+                        label = vec_add(lam, shifts[k][target - 1])
+                    else:
+                        label = vec_sub(lam, shifts[k][j - 1])
+                    candidates.append((cand, target, label))
         layer = {}
-        for cand, target in sorted(candidates):
+        for cand, target, label in sorted(candidates):
             if target not in best:
-                best[target] = cand
-                layer[target] = cand
+                best[target] = layer[target] = (cand, label)
     return best
 
 
 def sigma_classes(data: PsiData) -> SigmaClassReport:
-    """Orbit decomposition of {1..n} with Schreier-generator stabilizers."""
+    """Orbit decomposition of {1..n}; for each class, the stabilizer and
+    the image lattice from one HNF of the labelled Schreier generators."""
     n, q = data.n, data.q
+    shifts = [img.translations for img in data.generator_images]
     perms = [img.perm for img in data.generator_images]
+    e = [tuple(int(c == k) for c in range(q)) for k in range(q)]
     unassigned = set(range(1, n + 1))
     classes = []
     while unassigned:
         rep = min(unassigned)
-        transversal = _orbit_transversal(data, rep)
-        members = tuple(sorted(transversal))
+        labelled = _orbit_transversal(data, rep)
+        members = tuple(sorted(labelled))
         unassigned -= set(members)
-        e = [tuple(int(c == k) for c in range(q)) for k in range(q)]
-        schreier = []
+        rows = []
         for j in members:
+            t, lam = labelled[j]
             for k in range(q):
                 j2 = perms[k](j)
-                gen = vec_sub(vec_add(transversal[j], e[k]), transversal[j2])
-                schreier.append(gen)
-        stabilizer = lattice_from_generators(schreier, q)
+                t2, lam2 = labelled[j2]
+                gen = vec_sub(vec_add(t, e[k]), t2)
+                phi_gen = vec_sub(vec_add(lam, shifts[k][j2 - 1]), lam2)
+                rows.append(gen + vec_sub(gen, phi_gen))
+        graph = lattice_from_generators(rows, 2 * q)
+        if graph.rank != q:
+            raise AssertionError(
+                f"phi_{rep} is not well defined on its stabilizer: rank {graph.rank} != {q}"
+            )
         classes.append(
             SigmaClass(
                 members=members,
                 representative=rep,
-                stabilizer=stabilizer,
-                transversal=tuple(sorted(transversal.items())),
+                stabilizer=Sublattice(q, tuple(row[:q] for row in graph.basis)),
+                transversal=tuple((j, labelled[j][0]) for j in members),
+                labels=tuple(labelled[j][1] for j in members),
+                image_lattice=lattice_from_generators([row[q:] for row in graph.basis], q),
             )
         )
     return SigmaClassReport(classes=tuple(classes))
-
-
-def phi_restricted(data: PsiData, i: int, stabilizer: Sublattice):
-    """Images of the stabilizer basis under phi_i (a homomorphism there)."""
-    images = []
-    for g in stabilizer.basis:
-        psi_g = psi_of(data, g)
-        if psi_g.perm(i) != i:
-            raise NotInStabilizerError(
-                f"basis vector {list(g)} does not stabilize index {i}"
-            )
-        images.append(psi_g.translations[i - 1])
-    return tuple(images)
-
-
-def _image_lattice(data: PsiData, sigma_class: SigmaClass) -> Sublattice:
-    i = sigma_class.representative
-    phis = phi_restricted(data, i, sigma_class.stabilizer)
-    gens = [vec_sub(g, phi_g) for g, phi_g in zip(sigma_class.stabilizer.basis, phis)]
-    return lattice_from_generators(gens, data.q)
-
-
-def class_count(data: PsiData, i: int):
-    """Number of twisted-conjugacy classes attached to representative i."""
-    report = sigma_classes(data)
-    for cls in report.classes:
-        if cls.representative == i:
-            return lattice_index(_image_lattice(data, cls))
-    raise ValueError(f"index {i} is not a sigma-class representative")
 
 
 def reidemeister_number(sys_or_data) -> ReidemeisterReport:
@@ -185,7 +178,7 @@ def reidemeister_number(sys_or_data) -> ReidemeisterReport:
     blocks = []
     total = 0
     for cls in sigma.classes:
-        lat = _image_lattice(data, cls)
+        lat = cls.image_lattice
         count = lattice_index(lat)
         if is_infinite(count):
             reps = ()
@@ -194,7 +187,6 @@ def reidemeister_number(sys_or_data) -> ReidemeisterReport:
         blocks.append(
             ClassBlock(
                 sigma_class=cls,
-                image_lattice=lat,
                 count=count,
                 representatives=reps,
             )
@@ -208,15 +200,15 @@ def class_label(report: ReidemeisterReport, alpha, i: int):
 
     Transports (alpha, i) to the representative r of its sigma-class using
     the recorded transversal (gamma = -t with sigma_t(r) = i turns (alpha, i)
-    into (alpha - t + phi_i(t), r)), then reduces modulo the image lattice.
-    Two lift-factors are equivalent iff their labels are equal.
+    into (alpha - t + a(t)_i, r), a(t)_i being the stored label), then
+    reduces modulo the image lattice.  Two lift-factors are equivalent iff
+    their labels are equal.
     """
-    data = report.psi
     for block in report.blocks:
         cls = block.sigma_class
         if i in cls.members:
-            t = cls.transversal_to(i)
-            phi_t = psi_of(data, t).translations[i - 1]
-            moved = vec_add(vec_sub(tuple(alpha), t), phi_t)
+            pos = cls.members.index(i)
+            t = cls.transversal[pos][1]
+            moved = vec_add(vec_sub(tuple(alpha), t), cls.labels[pos])
             return (coset_reduce(block.image_lattice, moved), cls.representative)
     raise ValueError(f"index {i} out of range")

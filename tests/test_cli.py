@@ -302,6 +302,16 @@ class TestBoundaryErrors:
         path.write_text(json.dumps({"kind": "split", "parts": [{"A": [], "b": []}]}))
         self._one_error(capsys, ["analyze", str(path)])
 
+    @pytest.mark.parametrize("parts", ["1 | 1/0", "1 | 0/0"])
+    def test_split_offset_zero_denominator(self, capsys, parts):
+        self._one_error(capsys, ["split", "--parts", parts])
+
+    def test_linear_non_integer_matrix_entry(self, capsys):
+        code, _ = run_cli(["linear", "--n", "2", "--matrix", "1/2"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == ["nvalued: error: matrix entry must be an integer, got '1/2'"]
+
 
 def count_calls(monkeypatch, original):
     """Replace every ``nvalued`` binding of ``original`` by a counting
@@ -356,6 +366,28 @@ class TestSinglePass:
             assert code == 0
             assert len(calls) == 1, argv
 
+    def test_report_of_validated_system_evaluates_no_psi(self, monkeypatch):
+        from nvalued import liftsystems, reidemeister
+        from nvalued.liftsystems import make_circle, make_linear
+        from nvalued.semidirect import SemidirectElement
+
+        systems = [build_system(TORUS3_DOC)[1], make_circle(4, -3),
+                   make_linear(3, [[1, 1], [1, 1]])]
+        for sys in systems:
+            sys.psi
+        psi_calls = count_calls(monkeypatch, liftsystems.psi_of)
+        compose_calls = []
+        compose = SemidirectElement.compose
+
+        def counted(self, other):
+            compose_calls.append(1)
+            return compose(self, other)
+
+        monkeypatch.setattr(SemidirectElement, "compose", counted)
+        for sys in systems:
+            reidemeister.reidemeister_number(sys)
+        assert psi_calls == [] and compose_calls == []
+
     def test_equal_linear_parts_need_no_elimination(self, monkeypatch):
         from nvalued import intlinalg
         from nvalued.liftsystems import make_circle
@@ -409,6 +441,20 @@ def map_documents(draw):
     return _break(draw, doc) if draw(st.booleans()) else doc
 
 
+def assert_clean_exit(capsys, argv):
+    """``main(argv)`` exits 0, 1 or 2 with at most one line on stderr and
+    no traceback."""
+    capsys.readouterr()
+    try:
+        code, _ = run_cli(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1, err
+
+
 class TestFuzzBoundary:
     """``main`` on small random map documents, well formed or broken, exits
     0, 1 or 2 with at most one line on stderr, never with a traceback."""
@@ -425,12 +471,116 @@ class TestFuzzBoundary:
         argv = [command, str(path)]
         if command == "oracle-check":
             argv += ["--box", "2", "--word", "2"]
-        capsys.readouterr()
-        try:
-            code, _ = run_cli(argv)
-        except SystemExit as exc:
-            code = exc.code
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err
-        assert len(err.splitlines()) <= 1, err
+        assert_clean_exit(capsys, argv)
+
+
+# tokens of the inline --matrix and --parts texts, well formed or not
+INLINE_TOKENS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3", "1/0", "0/0", "x",
+                                 " ", ";", ",", "|"])
+SMALL_INT = st.integers(-2, 2).map(str)
+
+
+@st.composite
+def well_formed_matrix(draw, q):
+    return "; ".join(" ".join(draw(st.lists(SMALL_INT, min_size=q, max_size=q)))
+                     for _ in range(q))
+
+
+@st.composite
+def well_formed_parts(draw):
+    """q = 1 branches with one shared matrix, so that some are valid."""
+    a = draw(SMALL_INT)
+    offsets = draw(st.lists(st.sampled_from(["0", "1/2", "1/3", "2/3", "1/4"]),
+                            min_size=1, max_size=3))
+    return "; ".join(f"{a} | {b}" for b in offsets)
+
+
+@st.composite
+def inline_text(draw, well_formed):
+    """A random token string, or a well-formed text with at most one
+    random token spliced in."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(INLINE_TOKENS, max_size=10)))
+    text = draw(well_formed)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(INLINE_TOKENS) + text[at:]
+    return text
+
+
+@st.composite
+def inline_argv(draw):
+    """argv of ``circle``, ``linear`` or ``split`` with small integers n <= 6
+    and a random matrix or parts text."""
+    command = draw(st.sampled_from(["circle", "linear", "split"]))
+    n = draw(st.integers(-1, 6))
+    if command == "circle":
+        return [command, f"--n={n}", f"--d={draw(st.integers(-6, 6))}"]
+    if command == "linear":
+        matrix = well_formed_matrix(draw(st.integers(1, 2)))
+        return [command, f"--n={n}", f"--matrix={draw(inline_text(matrix))}"]
+    return [command, f"--parts={draw(inline_text(well_formed_parts()))}"]
+
+
+JUNK_GRAPH_LINES = st.one_of(
+    st.builds("edge {} {}".format, st.sampled_from("abcx"), st.sampled_from("abcx")),
+    st.builds("{} {} {}".format, st.sampled_from(["token", "goal"]),
+              st.sampled_from(["1", "2", "0", "x"]), st.sampled_from("abcx")),
+    st.sampled_from(["", "# comment", "edge a", "token 1", "junk line", "edge a b c"]),
+)
+
+
+@st.composite
+def graph_documents(draw):
+    """The lines of a connected graph document on 3..7 vertices with tokens
+    and a goal placement, sometimes with one line replaced, dropped or
+    added."""
+    k = draw(st.integers(3, 7))
+    names = [f"v{i}" for i in range(k)]
+    edges = {(f"v{draw(st.integers(0, i - 1))}", f"v{i}") for i in range(1, k)}
+    for _ in range(draw(st.integers(0, 3))):
+        u, w = draw(st.permutations(names))[:2]
+        edges.add((u, w))
+    m = draw(st.integers(1, k - 1))
+    starts = draw(st.permutations(names))[:m]
+    goals = draw(st.permutations(names))[:m]
+    lines = [f"edge {u} {w}" for u, w in sorted(edges)]
+    lines += [f"token {t} {v}" for t, v in enumerate(starts, start=1)]
+    lines += [f"goal {t} {v}" for t, v in enumerate(goals, start=1)]
+    action = draw(st.sampled_from(["keep", "keep", "replace", "drop", "add"]))
+    if action != "keep":
+        at = draw(st.integers(0, len(lines) - 1))
+        if action == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, draw(JUNK_GRAPH_LINES))
+            if action == "replace":
+                del lines[at + 1]
+    return lines
+
+
+@st.composite
+def argv_cases(draw):
+    """(argv, None) for an inline command, or (["plan"], lines) for ``plan``
+    on the graph document with those lines."""
+    if draw(st.booleans()):
+        return draw(inline_argv()), None
+    return ["plan"], draw(graph_documents())
+
+
+class TestFuzzArgv:
+    """``main`` on random ``circle``, ``linear`` and ``split`` arguments and
+    on random small graph documents for ``plan`` exits 0, 1 or 2 with at
+    most one line on stderr, never with a traceback."""
+
+    @example(case=(["split", "--parts=1 | 1/0"], None))
+    @given(case=argv_cases())
+    @settings(max_examples=140, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_code_and_one_line(self, capsys, tmp_path, case):
+        argv, lines = case
+        if lines is not None:
+            path = tmp_path / "fuzz.graph"
+            path.write_text("\n".join(lines) + "\n")
+            argv = argv + [str(path)]
+        assert_clean_exit(capsys, argv)

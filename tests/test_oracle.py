@@ -134,7 +134,8 @@ class TestOracleCheck:
         corrupted_lattice = lattice_from_generators(
             [(2, 0), (0, 4)], 2
         )  # honest lattice is [[1,0],[0,2]]
-        bad_block = dataclasses.replace(block, image_lattice=corrupted_lattice)
+        bad_class = dataclasses.replace(block.sigma_class, image_lattice=corrupted_lattice)
+        bad_block = dataclasses.replace(block, sigma_class=bad_class)
         bad_report = dataclasses.replace(
             report, blocks=(bad_block,) + report.blocks[1:]
         )

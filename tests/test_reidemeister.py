@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nvalued.intlinalg import is_infinite, lattice_from_generators
+from nvalued.intlinalg import is_infinite, lattice_from_generators, vec_add, vec_sub
 from nvalued.liftsystems import (
     lift_system,
     make_circle,
@@ -14,14 +14,8 @@ from nvalued.liftsystems import (
     psi_of,
     validate,
 )
-from nvalued.reidemeister import (
-    NotInStabilizerError,
-    class_count,
-    class_label,
-    phi_restricted,
-    reidemeister_number,
-    sigma_classes,
-)
+from nvalued import reidemeister
+from nvalued.reidemeister import class_label, reidemeister_number, sigma_classes
 
 from conftest import random_system, torus3_system
 
@@ -79,42 +73,130 @@ class TestSigmaClasses:
 
 
 class TestPhiRestricted:
+    """phi_i restricted to the stabilizer S_i, which the engine encodes in
+    the image lattice (id - phi_i)(S_i)."""
+
+    @staticmethod
+    def _phi_on_basis(report, idx):
+        cls = report.sigma.classes[idx]
+        i = cls.representative
+        basis = cls.stabilizer.basis
+        return cls, [psi_of(report.psi, g).translations[i - 1] for g in basis]
+
     def test_torus3_phi1(self, torus3_report):
-        data = torus3_report.psi
-        s1 = torus3_report.sigma.classes[0].stabilizer
-        images = phi_restricted(data, 1, s1)
-        assert images == ((1, 0), (0, -1))
+        cls, images = self._phi_on_basis(torus3_report, 0)
+        assert images == [(1, 0), (0, -1)]
+        gens = [vec_sub(g, p) for g, p in zip(cls.stabilizer.basis, images)]
+        assert cls.image_lattice == lattice_from_generators(gens, 2)
 
     def test_torus3_phi3(self, torus3_report):
-        data = torus3_report.psi
-        s3 = torus3_report.sigma.classes[1].stabilizer
-        images = phi_restricted(data, 3, s3)
-        assert images == ((-1, 0), (0, -1))
+        cls, images = self._phi_on_basis(torus3_report, 1)
+        assert images == [(-1, 0), (0, -1)]
+        gens = [vec_sub(g, p) for g, p in zip(cls.stabilizer.basis, images)]
+        assert cls.image_lattice == lattice_from_generators(gens, 2)
 
-    def test_not_in_stabilizer(self, torus3_report):
-        data = torus3_report.psi
-        bad = lattice_from_generators([(1, 0), (0, 1)], 2)
-        with pytest.raises(NotInStabilizerError):
-            phi_restricted(data, 1, bad)
+    def test_inconsistent_label_detected(self, monkeypatch):
+        # a wrong label makes phi_i ill defined on S_i: a tree edge's
+        # Schreier generator 0 then maps to a nonzero vector, and the HNF
+        # of the rows (s, s - phi_i(s)) gets more than q rows
+        orbit_transversal = reidemeister._orbit_transversal
+
+        def corrupted(data, start):
+            labelled = orbit_transversal(data, start)
+            last = max(labelled)
+            t, lam = labelled[last]
+            labelled[last] = (t, vec_add(lam, (0, 1)))
+            return labelled
+
+        monkeypatch.setattr(reidemeister, "_orbit_transversal", corrupted)
+        with pytest.raises(AssertionError):
+            sigma_classes(torus3_system().psi)
 
 
 class TestClassCount:
+    """The count [Z^q : L_i] of each sigma-class, read from its block."""
+
     def test_torus3_counts(self, torus3_report):
-        data = torus3_report.psi
-        assert class_count(data, 1) == 2
-        assert class_count(data, 3) == 4
+        counts = {b.sigma_class.representative: b.count for b in torus3_report.blocks}
+        assert counts == {1: 2, 3: 4}
 
     def test_torus3_image_lattices(self, torus3_report):
         assert torus3_report.blocks[0].image_lattice.basis == ((1, 0), (0, 2))
         assert torus3_report.blocks[1].image_lattice.basis == ((2, 0), (0, 2))
 
     def test_degree_n_circle_infinite(self):
-        data = validate(make_circle(3, 3))
-        assert is_infinite(class_count(data, 1))
+        report = reidemeister_number(make_circle(3, 3))
+        assert [b.sigma_class.members for b in report.blocks] == [(1,), (2,), (3,)]
+        for block in report.blocks:
+            assert is_infinite(block.count)
+            assert block.representatives == ()
 
-    def test_non_representative_rejected(self, torus3_report):
-        with pytest.raises(ValueError):
-            class_count(torus3_report.psi, 2)
+
+def reference_orbit_transversal(data, start):
+    """The earlier unlabelled BFS: ``{j: z}`` with sigma_z(start) = j, of
+    minimal length and lexicographically smallest within a layer."""
+    q = data.q
+    perms = [img.perm for img in data.generator_images]
+    moves = [(p, k, 1) for k, p in enumerate(perms)]
+    moves += [(p.inverse(), k, -1) for k, p in enumerate(perms)]
+    best = {start: tuple([0] * q)}
+    layer = dict(best)
+    while layer:
+        candidates = sorted(
+            (tuple(w + (step if c == k else 0) for c, w in enumerate(word)), perm(j))
+            for j, word in layer.items()
+            for perm, k, step in moves
+            if perm(j) not in best
+        )
+        layer = {}
+        for cand, target in candidates:
+            if target not in best:
+                best[target] = layer[target] = cand
+    return best
+
+
+def reference_class(data, start):
+    """Members, transversal, stabilizer and image lattice of the class of
+    ``start`` as the earlier two-pass engine found them: Schreier
+    generators over the unlabelled BFS, then phi_i evaluated by
+    :func:`psi_of` on each stabilizer basis vector g, giving g - phi_i(g)."""
+    q = data.q
+    transversal = reference_orbit_transversal(data, start)
+    members = tuple(sorted(transversal))
+    schreier = []
+    for j in members:
+        for k, img in enumerate(data.generator_images):
+            e_k = tuple(int(c == k) for c in range(q))
+            schreier.append(vec_sub(vec_add(transversal[j], e_k), transversal[img.perm(j)]))
+    stabilizer = lattice_from_generators(schreier, q)
+    gens = [vec_sub(g, psi_of(data, g).translations[start - 1]) for g in stabilizer.basis]
+    return (members, tuple((j, transversal[j]) for j in members), stabilizer,
+            lattice_from_generators(gens, q))
+
+
+class TestLabelledSchreierPass:
+    def test_against_psi_of_reference(self):
+        # seeded systems of every family, with shuffled factors (other
+        # representatives and orbits) and integer-shifted offsets (other
+        # translation parts a(e_k))
+        rng = random.Random(20261018)
+        multi_member = 0
+        for _ in range(320):
+            base = random_system(rng)
+            factors = [(f.linear, [x + rng.randint(-2, 2) for x in f.offset])
+                       for f in base.factors]
+            rng.shuffle(factors)
+            data = lift_system(factors).psi
+            for cls in sigma_classes(data).classes:
+                members, transversal, stabilizer, image = reference_class(
+                    data, cls.representative)
+                assert (cls.members, cls.transversal, cls.stabilizer) == (
+                    members, transversal, stabilizer)
+                assert cls.image_lattice == image
+                for (j, t), lam in zip(cls.transversal, cls.labels):
+                    assert lam == psi_of(data, t).translations[j - 1]
+                multi_member += len(members) > 1
+        assert multi_member > 100
 
 
 class TestReidemeisterNumber:
