@@ -60,7 +60,6 @@ from .fixedpoints import (
     NielsenReport,
     NonIntegralResultError,
     SingularLinearPartError,
-    UndefinedIndexError,
     fixed_point_classes,
     index_uniformity,
     nielsen_linear_formula,

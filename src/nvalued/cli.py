@@ -23,11 +23,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .fixedpoints import (
-    SingularLinearPartError,
-    fixed_point_classes,
-    nielsen_report,
-)
+from .fixedpoints import fixed_point_classes, nielsen_report
 from .intlinalg import is_infinite
 from .liftsystems import (
     LiftSystem,
@@ -255,21 +251,19 @@ def build_report(kind, sys: LiftSystem, oracle_section=None, report=None):
         }
         doc["sigma_classes"].append(entry)
     if not is_infinite(report.total):
-        classes = fixed_point_classes(sys, report)
+        nreport = nielsen_report(sys, report, fixed_point_classes(sys, report))
         doc["fixed_point_classes"] = [
             {
                 "alpha": _vec_json(c.alpha),
                 "factor": c.factor_index,
-                "point": _point_json(c.point) if c.point is not None else None,
+                "point": _point_json(c.point),
                 "index": c.index,
-                "empty": c.empty,
+                "empty": False,
             }
-            for c in classes
+            for c in nreport.classes
         ]
-        if all(c.index is not None for c in classes):
-            nreport = nielsen_report(report, classes)
-            doc["nielsen"] = nreport.nielsen
-            doc["index_uniformity"] = nreport.uniformity_per_sigma_class
+        doc["nielsen"] = nreport.nielsen
+        doc["index_uniformity"] = nreport.uniformity_per_sigma_class
     if oracle_section is not None:
         doc["oracle"] = oracle_section
     return doc
@@ -294,18 +288,10 @@ def render_text(doc):
         lines.append("fixed point classes:")
         for c in doc["fixed_point_classes"]:
             label = f"(alpha={tuple(c['alpha'])}, factor={c['factor']})"
-            if c["point"] is not None:
-                point = "(" + ", ".join(c["point"]) + ")"
-                lines.append(f"  {label}: point {point}, index {c['index']:+d}")
-            elif c["empty"]:
-                lines.append(f"  {label}: empty class, index 0")
-            else:
-                lines.append(f"  {label}: degenerate linear part, index undefined")
-    if "nielsen" in doc:
+            point = "(" + ", ".join(c["point"]) + ")"
+            lines.append(f"  {label}: point {point}, index {c['index']:+d}")
         lines.append(f"Nielsen number N = {doc['nielsen']}")
         lines.append(f"index uniformity per sigma-class: {doc['index_uniformity']}")
-    elif "fixed_point_classes" in doc:
-        lines.append("Nielsen number undefined (degenerate linear part)")
     if "oracle" in doc:
         o = doc["oracle"]
         lines.append(
@@ -500,7 +486,6 @@ MODEL_ERRORS = (
     IllegalMoveError,
     CollisionDetectedError,
     PlannerStuckError,
-    SingularLinearPartError,
     BudgetExceededError,
     ValueError,
 )

@@ -7,13 +7,15 @@ point class p Fix(alpha + f_i): solving
 
 exactly and reducing mod 1 gives the class's torus point.  At a
 nondegenerate fixed point of an affine map the index is the local degree
-sign det(E - M_i), so every class of a nonsingular factor is a singleton
-of index +-1; the Nielsen number counts the classes of nonzero index.
+sign det(E - M_i).
 
-Degenerate linear parts (det(E - M_i) = 0) are never silently patched:
-classes either come out empty (index 0, flagged) when the affine system
-is inconsistent, or carry an undefined index otherwise, and the Nielsen
-count refuses to proceed.
+Equivariance gives phi_r(s) = M_r s on the stabilizer S_r of a
+sigma-class representative r, so the image lattice is (E - M_r) S_r and
+R(f) is finite exactly when det(E - M_r) != 0 at every representative.
+Every class of a finite R(f) is therefore a single point of index +-1,
+and N(f) = R(f).  The indices are uniform within each sigma-class:
+:func:`nielsen_report` reads sign det(E - M_j) from every member j's own
+linear part and compares it with its representative's.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlinalg import adjugate, eliminate, is_infinite, rational_det
+from .intlinalg import adjugate, is_infinite, rational_det
 from .liftsystems import LiftSystem, require_congruent_rows
 from .reidemeister import ReidemeisterReport, SigmaClassReport, reidemeister_number
 
@@ -31,11 +33,7 @@ class InfiniteClassesError(ValueError):
 
 
 class SingularLinearPartError(ValueError):
-    """det(E - M_i) = 0 for some class: indices are undefined."""
-
-
-class UndefinedIndexError(ValueError):
-    """An index comparison touched a class with no defined index."""
+    """det(E - M_i) = 0 for a factor: its fixed point set is not isolated."""
 
 
 class NonIntegralResultError(ArithmeticError):
@@ -46,16 +44,15 @@ class NonIntegralResultError(ArithmeticError):
 class FixedPointClass:
     """One fixed point class, labelled by its class representative.
 
-    ``point`` is the torus point in [0,1)^q for a nonsingular factor,
-    None otherwise.  ``index`` is +-1 (nonsingular), 0 (empty class of a
-    degenerate factor), or None (undefined: degenerate with solutions).
+    ``point`` is the class's single torus point in [0,1)^q, a tuple of
+    Fractions, and ``index`` is its fixed point index sign det(E - M_i),
+    +-1.
     """
 
     alpha: tuple
     factor_index: int
     point: tuple
-    index: object
-    empty: bool
+    index: int
 
 
 @dataclass(frozen=True)
@@ -65,13 +62,14 @@ class NielsenReport:
     reidemeister: object
     uniformity_per_sigma_class: bool
     reid_report: ReidemeisterReport
+    factor_signs: tuple  # sign det(E - M_j) for factor j = 1..n
 
 
 def fixed_point_classes(sys: LiftSystem, report: ReidemeisterReport = None):
     """Enumerate the fixed point classes of a lift system.
 
     Requires R(f) finite.  Returns one :class:`FixedPointClass` per
-    Reidemeister class, with pairwise distinct nonempty points.
+    Reidemeister class, with pairwise distinct points.
     """
     if report is None:
         report = reidemeister_number(sys)
@@ -83,100 +81,92 @@ def fixed_point_classes(sys: LiftSystem, report: ReidemeisterReport = None):
 def _classes_from_report(sys: LiftSystem, report: ReidemeisterReport):
     q = sys.q
     classes = []
-    seen_points = {}
+    seen_points = set()
     for block in report.blocks:
         i = block.sigma_class.representative
         mat, offset, scales = sys.factors[i - 1].fixed_point_system()
         # one determinant and adjugate per sigma-class: every point is then
         # t = adj (offset + scales * alpha) / det, reduced mod 1
         det, adj = adjugate(mat)
+        if det == 0:
+            raise AssertionError(f"R is finite but det(E - M_{i}) = 0")
         sign, m = (det > 0) - (det < 0), abs(det)
         for alpha, _ in block.representatives:
             rhs = [offset[r] + scales[r] * alpha[r] for r in range(q)]
-            if det != 0:
-                point = tuple(
-                    Fraction((sign * sum(x * y for x, y in zip(row, rhs))) % m, m)
-                    for row in adj
-                )
-                cls = FixedPointClass(
-                    alpha=alpha, factor_index=i, point=point, index=sign, empty=False
-                )
-                if point in seen_points:
-                    raise AssertionError(
-                        f"distinct classes share the torus point {point}"
-                    )
-                seen_points[point] = cls
-            else:
-                # solvable iff the right-hand side column takes no pivot
-                _, pivots, _ = eliminate([row + [b] for row, b in zip(mat, rhs)])
-                solvable = q not in pivots
-                cls = FixedPointClass(
-                    alpha=alpha,
-                    factor_index=i,
-                    point=None,
-                    index=None if solvable else 0,
-                    empty=not solvable,
-                )
-            classes.append(cls)
+            point = tuple(
+                Fraction((sign * sum(x * y for x, y in zip(row, rhs))) % m, m)
+                for row in adj
+            )
+            if point in seen_points:
+                raise AssertionError(f"distinct classes share the torus point {point}")
+            seen_points.add(point)
+            classes.append(
+                FixedPointClass(alpha=alpha, factor_index=i, point=point, index=sign)
+            )
     return classes
 
 
 def nielsen_number(sys: LiftSystem) -> NielsenReport:
     """Nielsen number with the full class/uniformity report.
 
-    Raises :class:`SingularLinearPartError` when any class index is
-    undefined, and fails loudly if index uniformity within sigma-classes
-    is violated (it cannot be, for a valid torus lift system).
+    Fails loudly if index uniformity within sigma-classes is violated (it
+    cannot be, for a valid torus lift system).
     """
     report = reidemeister_number(sys)
     if is_infinite(report.total):
         raise InfiniteClassesError("R(f) is infinite: the Nielsen count needs R finite")
-    return nielsen_report(report, _classes_from_report(sys, report))
+    return nielsen_report(sys, report, _classes_from_report(sys, report))
 
 
-def nielsen_report(report: ReidemeisterReport, classes) -> NielsenReport:
+def nielsen_report(sys: LiftSystem, report: ReidemeisterReport, classes) -> NielsenReport:
     """The Nielsen report from the fixed point classes already listed for
     ``report``; raises as :func:`nielsen_number` does."""
-    undefined = [c for c in classes if c.index is None]
-    if undefined:
-        bad = sorted({c.factor_index for c in undefined})
-        raise SingularLinearPartError(
-            f"det(E - M_i) = 0 for factor(s) {bad}: fixed point indices undefined"
-        )
-    nielsen = sum(1 for c in classes if c.index != 0)
-    uniform = index_uniformity_from_classes(classes, report.sigma)
-    if not uniform:
+    # a member with its representative's linear part shares its sign, the
+    # index of the representative's classes; any other linear part gets one
+    # determinant of its own.  Members are compared, not hashed: Fraction
+    # hashes are not cached.
+    rep_signs = {c.factor_index: c.index for c in classes}
+    other_signs = {}
+    factor_signs = [0] * sys.n
+    for cls in report.sigma.classes:
+        rep = sys.factors[cls.representative - 1].linear
+        for j in cls.members:
+            linear = sys.factors[j - 1].linear
+            if linear == rep:
+                factor_signs[j - 1] = rep_signs[cls.representative]
+                continue
+            if linear not in other_signs:
+                det = rational_det(
+                    [[int(r == c) - x for c, x in enumerate(row)]
+                     for r, row in enumerate(linear)]
+                )
+                other_signs[linear] = (det > 0) - (det < 0)
+            factor_signs[j - 1] = other_signs[linear]
+    nreport = NielsenReport(
+        classes=tuple(classes),
+        nielsen=len(classes),
+        reidemeister=report.total,
+        uniformity_per_sigma_class=True,
+        reid_report=report,
+        factor_signs=tuple(factor_signs),
+    )
+    if not index_uniformity(nreport, report.sigma):
         raise AssertionError(
             "index uniformity within a sigma-class failed; "
             "this contradicts the torus cyclic-homotopy argument"
         )
-    return NielsenReport(
-        classes=tuple(classes),
-        nielsen=nielsen,
-        reidemeister=report.total,
-        uniformity_per_sigma_class=uniform,
-        reid_report=report,
-    )
-
-
-def index_uniformity_from_classes(classes, sigma: SigmaClassReport) -> bool:
-    """True iff all classes within each sigma-class share one index."""
-    by_rep = {}
-    for cls in classes:
-        if cls.index is None:
-            raise UndefinedIndexError(
-                f"class {cls.alpha} of factor {cls.factor_index} has no index"
-            )
-        by_rep.setdefault(cls.factor_index, set()).add(cls.index)
-    for sigma_cls in sigma.classes:
-        indices = by_rep.get(sigma_cls.representative, set())
-        if len(indices) > 1:
-            return False
-    return True
+    return nreport
 
 
 def index_uniformity(report: NielsenReport, sigma: SigmaClassReport) -> bool:
-    return index_uniformity_from_classes(report.classes, sigma)
+    """True iff every member of each sigma-class has its representative's
+    sign det(E - M_j)."""
+    signs = report.factor_signs
+    return all(
+        signs[j - 1] == signs[cls.representative - 1]
+        for cls in sigma.classes
+        for j in cls.members
+    )
 
 
 def nielsen_linear_formula(n: int, matrix) -> int:

@@ -396,6 +396,24 @@ class TestSinglePass:
         make_circle(60, 7)
         assert calls == []
 
+    def test_determinants_per_sigma_class_and_linear_part(self, monkeypatch):
+        from nvalued import intlinalg, reidemeister
+        from nvalued.liftsystems import make_circle
+
+        systems = [make_circle(60, 7), build_system(TORUS3_DOC)[1]]
+        bounds = [
+            len(reidemeister.reidemeister_number(sys).sigma.classes)
+            + len({f.linear for f in sys.factors})
+            for sys in systems
+        ]
+        adjugates = count_calls(monkeypatch, intlinalg.adjugate)
+        dets = count_calls(monkeypatch, intlinalg.rational_det)
+        for sys, bound in zip(systems, bounds):
+            adjugates.clear()
+            dets.clear()
+            build_report("custom", sys)
+            assert len(adjugates) + len(dets) <= bound
+
 
 @st.composite
 def well_formed_documents(draw):

@@ -1,5 +1,6 @@
 """Fixed point classes, indices, Nielsen numbers, and the linear formula."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,13 +10,13 @@ from nvalued.fixedpoints import (
     InfiniteClassesError,
     NonIntegralResultError,
     SingularLinearPartError,
-    UndefinedIndexError,
     fixed_point_classes,
     index_uniformity,
     nielsen_linear_formula,
     nielsen_number,
+    nielsen_report,
 )
-from nvalued.intlinalg import is_infinite
+from nvalued.intlinalg import is_infinite, rational_det
 from nvalued.liftsystems import (
     RowsNotCongruentError,
     lift_system,
@@ -26,6 +27,7 @@ from nvalued.liftsystems import (
 from nvalued.reidemeister import reidemeister_number
 
 from conftest import random_linear_system, random_system, torus3_system
+from test_acceptance import collected_instances
 
 
 def frac(s):
@@ -73,12 +75,8 @@ class TestCircles:
             report = reidemeister_number(sys)
             if is_infinite(report.total):
                 continue
-            classes = fixed_point_classes(sys, report)
-            if any(c.index is None for c in classes):
-                continue
-            if all(c.index != 0 for c in classes):
-                nr = nielsen_number(sys)
-                assert nr.nielsen == nr.reidemeister
+            nr = nielsen_number(sys)
+            assert nr.nielsen == nr.reidemeister
 
     def test_infinite_r_refused(self):
         with pytest.raises(InfiniteClassesError):
@@ -88,10 +86,9 @@ class TestCircles:
 
 
 class TestDegenerate:
-    # For a valid system, L_i = (E - M_i)(S_i), so a singular linear part
-    # at a class representative forces R infinite: the finite pipeline can
-    # never meet det(E - M_i) = 0.  The per-class degenerate reporting is
-    # therefore exercised directly against a synthetic report.
+    # For a valid system, L_r = (E - M_r)(S_r), so a singular linear part
+    # at a sigma-class representative forces R infinite: the finite
+    # pipeline never meets det(E - M_r) = 0.
 
     def test_singular_part_implies_infinite_r(self):
         sys = lift_system([([[1, 0], [0, 0]], [Fraction(1, 2), Fraction(1, 2)])])
@@ -102,30 +99,27 @@ class TestDegenerate:
         with pytest.raises(InfiniteClassesError):
             nielsen_number(sys)
 
-    @staticmethod
-    def _degenerate_classes(offset):
-        from nvalued.fixedpoints import _classes_from_report
-
-        donor = lift_system([([[0, 0], [0, 0]], [0, 0])])  # constant map
-        report = reidemeister_number(donor)
-        degenerate = lift_system([([[1, 0], [0, 0]], offset)])
-        return report, _classes_from_report(degenerate, report)
-
-    def test_consistent_degenerate_class_undefined(self):
-        # (E - M) t = c solvable but not isolated: index undefined
-        report, classes = self._degenerate_classes([0, Fraction(1, 2)])
-        assert classes[0].index is None
-        assert not classes[0].empty
-        from nvalued.fixedpoints import index_uniformity_from_classes
-
-        with pytest.raises(UndefinedIndexError):
-            index_uniformity_from_classes(classes, report.sigma)
-
-    def test_empty_degenerate_class_flagged_zero(self):
-        # (E - M) t = c inconsistent: the class is empty with index 0
-        _, classes = self._degenerate_classes([Fraction(1, 2), 0])
-        assert classes[0].empty
-        assert classes[0].index == 0
+    def test_finite_r_iff_representatives_nonsingular(self):
+        rng = random.Random(0x7E0)
+        cases = [(sys, report) for _, sys, report, _ in collected_instances()]
+        for _ in range(300):
+            sys = random_system(rng)
+            cases.append((sys, reidemeister_number(sys)))
+        for sys, report in cases:
+            dets = []
+            for cls in report.sigma.classes:
+                rep = sys.factors[cls.representative - 1].linear
+                assert all(sys.factors[j - 1].linear == rep for j in cls.members)
+                dets.append(
+                    rational_det(
+                        [[int(r == c) - x for c, x in enumerate(row)]
+                         for r, row in enumerate(rep)]
+                    )
+                )
+            assert is_infinite(report.total) == (0 in dets)
+            if not is_infinite(report.total):
+                classes = fixed_point_classes(sys, report)
+                assert nielsen_report(sys, report, classes).nielsen == report.total
 
     def test_brute_scan_rejects_singular_factor(self):
         from nvalued.oracle import brute_fixed_points
@@ -186,6 +180,25 @@ class TestIndexStructure:
             nr = nielsen_number(make_linear(n, rows))
             assert all(c.index == sign for c in nr.classes)
 
+    def test_member_with_opposite_sign_detected(self):
+        # circle(2, 1) has the one sigma-class {1, 2}; planting factor 2's
+        # linear part 3/2 flips its sign det(E - M) from +1 to -1
+        good = make_circle(2, 1)
+        report = reidemeister_number(good)
+        assert [c.members for c in report.sigma.classes] == [(1, 2)]
+        classes = fixed_point_classes(good, report)
+        planted = lift_system(
+            [([[Fraction(1, 2)]], [0]), ([[Fraction(3, 2)]], [Fraction(1, 2)])]
+        )
+        with pytest.raises(AssertionError, match="index uniformity"):
+            nielsen_report(planted, report, classes)
+        nr = nielsen_report(good, report, classes)
+        assert nr.factor_signs == (1, 1)
+        assert index_uniformity(nr, report.sigma) is True
+        # the planted system's signs: 1 - 1/2 > 0 and 1 - 3/2 < 0
+        planted_signs = dataclasses.replace(nr, factor_signs=(1, -1))
+        assert index_uniformity(planted_signs, report.sigma) is False
+
     def test_split_opposite_signs_vacuous(self):
         # branches with opposite det signs (their difference is singular, so
         # the branches never meet): each sigma-class is a singleton, so
@@ -208,7 +221,7 @@ class TestIndexStructure:
             if is_infinite(report.total):
                 continue
             classes = fixed_point_classes(sys, report)
-            points = [c.point for c in classes if c.point is not None]
+            points = [c.point for c in classes]
             assert len(points) == len(set(points))
 
     def test_n_at_most_r(self, rng):
@@ -216,9 +229,6 @@ class TestIndexStructure:
             sys = random_system(rng)
             report = reidemeister_number(sys)
             if is_infinite(report.total):
-                continue
-            classes = fixed_point_classes(sys, report)
-            if any(c.index is None for c in classes):
                 continue
             nr = nielsen_number(sys)
             assert nr.nielsen <= nr.reidemeister
