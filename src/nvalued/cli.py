@@ -487,6 +487,7 @@ MODEL_ERRORS = (
     CollisionDetectedError,
     PlannerStuckError,
     BudgetExceededError,
+    OverflowError,
     ValueError,
 )
 

@@ -11,19 +11,21 @@ which it applies by union-find over the finite window
     { (alpha, i) : alpha in [-B, B]^q, i in 1..n },
 
 merging along every gamma in [-G, G]^q whenever the target stays inside
-the window.  Because a single move translates a whole grid sheet, the
-sweep is vectorized: per (gamma, j) the overlap of the box with its
-translate is merged in one batched union-find pass.
+the window.  Every step runs on numpy arrays over a whole box: psi is
+tabulated over the word box by composing per-generator power tables, a
+single move translates a whole grid sheet, so per (gamma, j) the overlap
+of the box with its translate is merged in one batched union-find pass,
+and the check labels every cell of a sheet with one int64 pass of the
+oracle's own coset reduction against the engine's image lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .fixedpoints import InfiniteClassesError, SingularLinearPartError
-from .intlinalg import adjugate, coset_reduce, is_infinite
+from .intlinalg import adjugate, is_infinite
 from .liftsystems import LiftSystem, PsiData, psi_of
 from .reidemeister import ReidemeisterReport, reidemeister_number
 
@@ -50,78 +52,88 @@ class OracleConfig:
             raise ValueError("window bounds must be at least 1")
 
 
-def _psi_sweep(data: PsiData, bound: int):
-    """Yield (gamma, translations, sigma_images) over the lex-positive
-    half of the word box (the -gamma moves are the same edges reversed).
+def _compose(a, b):
+    """Products a * b of semidirect elements held as arrays.
 
-    psi values are carried as raw tuples and built incrementally along
-    the lexicographic walk, one cheap composition per step.
+    An element is ``(trans, perm, inv)``: ``trans[..., i, :]`` is the
+    translation of sheet i, ``perm[..., i]`` the 0-based image of sheet i
+    and ``inv`` the inverse permutation; leading axes broadcast.  As in
+    :class:`SemidirectElement`, (a; s)(b; t) = (a_i + b_{s^-1(i)}; s t).
     """
-    q, n = data.q, data.n
-    gen = [
-        (g.translations, g.perm.images, g.perm.inverse().images)
-        for g in data.generator_images
-    ]
+    import numpy as np
 
-    def raw_compose(a, b):
-        a_trans, a_perm, a_inv = a
-        b_trans, b_perm, b_inv = b
-        trans = tuple(
-            tuple(x + y for x, y in zip(a_trans[i], b_trans[a_inv[i] - 1]))
-            for i in range(n)
-        )
-        perm = tuple(a_perm[b_perm[i] - 1] for i in range(n))
-        inv = tuple(b_inv[a_inv[i] - 1] for i in range(n))
-        return (trans, perm, inv)
+    a_trans, a_perm, a_inv = a
+    b_trans, b_perm, b_inv = b
+    trans = a_trans + np.take_along_axis(b_trans, a_inv[..., None], axis=-2)
+    perm = np.take_along_axis(a_perm, b_perm, axis=-1)
+    inv = np.take_along_axis(b_inv, a_inv, axis=-1)
+    return trans, perm, inv
 
-    def _neg_gen(g):
-        trans, perm, inv = g
-        neg_trans = tuple(tuple(-x for x in trans[perm[i] - 1]) for i in range(n))
-        return (neg_trans, inv, perm)
 
-    identity = (
-        tuple([tuple([0] * q)] * n),
-        tuple(range(1, n + 1)),
-        tuple(range(1, n + 1)),
-    )
-    lowest = []  # gen_k^(-bound), precomputed
-    for k in range(q):
-        acc = identity
-        neg = _neg_gen(gen[k])
+def _moves(data: PsiData, bound: int, limit: int):
+    """Distinct window moves (v, j, i) of the gammas in [-bound, bound]^q.
+
+    psi(gamma) = prod_k psi(e_k)^gamma_k is built for the whole word box
+    at once: a table of the 2*bound + 1 powers of each generator, composed
+    axis by axis.  Only the lex-positive half is kept (the -gamma moves
+    are the same edges reversed).  With psi(gamma) = (alpha; sigma), the
+    inverse formula gives phi_j(-gamma) = -alpha_{sigma(j)}, so the move
+    of (gamma, j) is the translation v = gamma - alpha_{sigma(j)} onto
+    sheet i = sigma(j).  Identity moves and moves with a coordinate
+    beyond ``limit`` are dropped; distinct gammas often give one move.
+    Raises :class:`OverflowError` if a translation over the word box
+    could leave the int64 range.
+    """
+    import numpy as np
+
+    n, q = data.n, data.q
+    step = max(abs(c) for g in data.generator_images for t in g.translations for c in t)
+    if bound * (1 + q * step) > np.iinfo(np.int64).max:
+        raise OverflowError("psi over the word box would leave the int64 range")
+    side = 2 * bound + 1
+    sheets = np.arange(n)
+    identity = (np.zeros((n, q), dtype=np.int64), sheets, sheets)
+    acc = tuple(x[None] for x in identity)
+    for g in data.generator_images:
+        trans = np.array(g.translations, dtype=np.int64).reshape(n, q)
+        perm = np.array(g.perm.images, dtype=np.int64) - 1
+        inv = np.argsort(perm)
+        gen = (trans, perm, inv)
+        gen_inv = (-trans[perm], inv, perm)
+        powers = [identity]  # exponents -k .. k after k rounds
         for _ in range(bound):
-            acc = raw_compose(acc, neg)
-        lowest.append(acc)
+            powers = [_compose(powers[0], gen_inv), *powers, _compose(powers[-1], gen)]
+        table = tuple(np.stack(parts) for parts in zip(*powers))
+        acc = _compose(
+            tuple(x[:, None] for x in acc), tuple(x[None] for x in table)
+        )
+        acc = tuple(x.reshape((-1,) + x.shape[2:]) for x in acc)
 
-    def walk(prefix, element, k, positive):
-        if k == q:
-            if positive:
-                yield prefix, element[0], element[1]
-            return
-        if positive:
-            current = raw_compose(element, lowest[k])
-            lo = -bound
-        else:
-            # leading coordinates all zero so far: only values >= 0 can
-            # start a lex-positive vector
-            current = element
-            lo = 0
-        for value in range(lo, bound + 1):
-            yield from walk(prefix + (value,), current, k + 1, positive or value > 0)
-            current = raw_compose(current, gen[k])
-
-    yield from walk((), identity, 0, False)
+    half = side**q // 2  # flat index of gamma = 0 in the lex-ordered box
+    trans, perm = acc[0][half + 1 :], acc[1][half + 1 :]
+    gamma = np.indices((side,) * q).reshape(q, -1).T[half + 1 :] - bound
+    v = gamma[:, None, :] - np.take_along_axis(trans, perm[..., None], axis=1)
+    j = np.broadcast_to(sheets, perm.shape)
+    keep = (np.abs(v) <= limit).all(axis=-1) & ((perm != j) | v.any(axis=-1))
+    rows = np.concatenate([v[keep], j[keep][:, None] + 1, perm[keep][:, None] + 1], axis=1)
+    _, first = np.unique(_row_ids(rows), return_index=True)
+    return [(tuple(r[:q]), r[q], r[q + 1]) for r in rows[first].tolist()]
 
 
-def _box_strides(q: int, side: int):
-    strides = [1] * q
-    for k in range(q - 2, -1, -1):
-        strides[k] = strides[k + 1] * side
-    return strides
+def _row_ids(rows):
+    """Dense ids of the rows of a 2-D int array: equal rows, equal ids.
 
+    Built one column at a time from 1-D uniques, which sort far faster
+    than numpy's row-wise unique.  Ids stay below len(rows), so pairing
+    them with the next column's ids cannot overflow int64.
+    """
+    import numpy as np
 
-def _sign_compatible(u, v):
-    """Componentwise: u_d lies between 0 and v_d (inclusive)."""
-    return all(0 <= a <= b or b <= a <= 0 for a, b in zip(u, v))
+    ids = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        _, col_ids = np.unique(col, return_inverse=True)
+        _, ids = np.unique(ids * (col_ids.max(initial=0) + 1) + col_ids, return_inverse=True)
+    return ids
 
 
 def _prune_moves(moves):
@@ -129,11 +141,12 @@ def _prune_moves(moves):
 
     A move (v, j, i) translates cell (beta, j) to (beta + v, i).  If
     v = u + w with a kept within-sheet move (u, j, j) sign-compatible
-    with v and (w, j, i) also a move, the intermediate cell beta + u is
-    sandwiched between the endpoints and hence inside the window, so the
-    edge is implied.  Symmetrically via a within-sheet suffix (u, i, i).
-    Pruning preserves the generated partition exactly; by induction on
-    the L1 norm the dropped move's witness pair is itself implied.
+    with v (each u_d lies between 0 and v_d) and (w, j, i) also a move,
+    the intermediate cell beta + u is sandwiched between the endpoints
+    and hence inside the window, so the edge is implied.  Symmetrically
+    via a within-sheet suffix (u, i, i).  Pruning preserves the
+    generated partition exactly; by induction on the L1 norm the dropped
+    move's witness pair is itself implied.
     """
     scan_cap = 64  # pruning is optional, so capping the witness scan is sound
     move_set = set(moves)
@@ -143,14 +156,20 @@ def _prune_moves(moves):
     for v, j, i in ordered:
         implied = False
         for u in kept_within.get(j, ())[:scan_cap]:
-            if _sign_compatible(u, v):
+            for a, b in zip(u, v):
+                if not (0 <= a <= b or b <= a <= 0):
+                    break
+            else:
                 w = tuple(a - b for a, b in zip(v, u))
                 if (w, j, i) in move_set and (any(w) or j != i):
                     implied = True
                     break
         if not implied and i != j:
             for u in kept_within.get(i, ())[:scan_cap]:
-                if _sign_compatible(u, v):
+                for a, b in zip(u, v):
+                    if not (0 <= a <= b or b <= a <= 0):
+                        break
+                else:
                     w = tuple(a - b for a, b in zip(v, u))
                     if (w, j, i) in move_set and any(w):
                         implied = True
@@ -191,10 +210,9 @@ class _BatchedUnionFind:
             return
         pa = a_roots[mask]
         pb = b_roots[mask]
-        pairs = np.unique(
-            np.stack([np.minimum(pa, pb), np.maximum(pa, pb)]), axis=1
-        )
-        for x, y in zip(pairs[0].tolist(), pairs[1].tolist()):
+        size = len(parent)
+        pairs = np.unique(np.minimum(pa, pb) * size + np.maximum(pa, pb))
+        for x, y in zip((pairs // size).tolist(), (pairs % size).tolist()):
             rx = x
             while parent[rx] != rx:
                 rx = parent[rx]
@@ -207,17 +225,14 @@ class _BatchedUnionFind:
                 else:
                     parent[rx] = ry
 
-    def roots(self):
-        import numpy as np
-
-        return self.find_many(np.arange(len(self.parent)))
-
 
 def brute_classes(data: PsiData, cfg: OracleConfig):
     """Partition of the window { (alpha, i) } under lift-factor equivalence.
 
-    Returns a list of classes, each a frozenset of (alpha, i) pairs; the
-    list is sorted by each class's minimal member for determinism.
+    Returns an int64 array of shape (n, 2B+1, ..., 2B+1) whose entry
+    ``[i - 1][alpha + B]`` is the class id of the cell (alpha, i).  Ids
+    run over 0..k-1 in the order of each class's first cell in the
+    array (sheet-major, then alpha in lex order).
     """
     import numpy as np
 
@@ -231,62 +246,53 @@ def brute_classes(data: PsiData, cfg: OracleConfig):
             f"sweep cost {cost} exceeds budget {cfg.budget}; "
             "shrink the window or raise OracleConfig.budget"
         )
-    strides = _box_strides(q, side)
     uf = _BatchedUnionFind(n * box)
     grid = np.arange(box, dtype=np.int64).reshape([side] * q)
-    overlap_cache = {}
 
-    def overlap(v):
-        cached = overlap_cache.get(v)
-        if cached is not None:
-            return cached
-        bounds = [(max(0, -v[d]), min(side, side - v[d])) for d in range(q)]
-        if any(lo >= hi for lo, hi in bounds):
-            overlap_cache[v] = (None, 0)
-            return None, 0
-        src = grid[tuple(slice(lo, hi) for lo, hi in bounds)].ravel()
-        shift = sum(v[d] * strides[d] for d in range(q))
-        overlap_cache[v] = (src, shift)
-        return src, shift
+    for v, j, i in _prune_moves(_moves(data, G, 2 * B)):
+        # the part of the box that v keeps inside it, and its translate
+        src = grid[tuple(slice(max(0, -c), min(side, side - c)) for c in v)]
+        dst = grid[tuple(slice(max(0, c), min(side, side + c)) for c in v)]
+        roots = uf.find_many(
+            np.concatenate([src.ravel() + (j - 1) * box, dst.ravel() + (i - 1) * box])
+        )
+        uf.union_pairs(*np.split(roots, 2))
 
-    # moves dedup: distinct gammas frequently induce the same translation.
-    # With psi(gamma) = (alpha; sigma), the inverse formula gives
-    # phi_j(-gamma) = -alpha_{sigma(j)}, so the move of (gamma, j) is the
-    # translation v = gamma - alpha_{sigma(j)} onto sheet i = sigma(j).
-    limit = 2 * B
-    moves = set()
-    for gamma, trans, sigma_images in _psi_sweep(data, G):
-        for j in range(1, n + 1):
-            i = sigma_images[j - 1]
-            alpha_i = trans[i - 1]
-            v = tuple(g - a for g, a in zip(gamma, alpha_i))
-            if i == j and not any(v):
-                continue
-            if any(c > limit or c < -limit for c in v):
-                continue
-            moves.add((v, j, i))
+    # union keeps the smaller root, so each root is its class's first cell
+    _, ids = np.unique(uf.find_many(np.arange(n * box)), return_inverse=True)
+    return ids.reshape((n,) + (side,) * q)
 
-    for v, j, i in _prune_moves(moves):
-        src, shift = overlap(v)
-        if src is None:
-            continue
-        a = src + (j - 1) * box
-        b = (src + shift) + (i - 1) * box
-        stacked = np.concatenate([a, b])
-        roots = uf.find_many(stacked)
-        half = len(a)
-        uf.union_pairs(roots[:half], roots[half:])
 
-    roots = uf.roots()
-    groups = {}
-    cells = list(product(range(-B, B + 1), repeat=q))
-    for sheet in range(n):
-        base = sheet * box
-        for flat, alpha in enumerate(cells):
-            groups.setdefault(int(roots[base + flat]), []).append((alpha, sheet + 1))
-    classes = [frozenset(members) for members in groups.values()]
-    classes.sort(key=lambda cls: min(cls))
-    return classes
+def _reduce_box(basis, shift, bound: int):
+    """Coset representatives of alpha + shift + L for alpha in [-B, B]^q.
+
+    The oracle's own reduction, one int64 pass over the lex-ordered box:
+    for each row of the row-HNF basis of L in order, floor-divide the
+    row's pivot coordinate by the pivot and subtract that multiple of the
+    row.  This greedy rule is a complete coset invariant for any rank.
+    Exact integer bounds on every intermediate are checked first, and
+    :class:`OverflowError` is raised if one could leave the int64 range.
+    """
+    import numpy as np
+
+    q = len(shift)
+    extent = [bound + abs(s) for s in shift]
+    peak = max(extent)
+    pivots = []
+    for row in basis:
+        p = next(k for k, x in enumerate(row) if x)
+        steps = extent[p] // abs(row[p]) + 1
+        extent = [e + steps * abs(x) for e, x in zip(extent, row)]
+        peak = max(peak, *extent)
+        extent[p] = abs(row[p]) - 1
+        pivots.append(p)
+    if peak > np.iinfo(np.int64).max:
+        raise OverflowError("coset reduction would leave the int64 range")
+    side = 2 * bound + 1
+    w = np.indices((side,) * q).reshape(q, -1).T - bound + np.array(shift, dtype=np.int64)
+    for p, row in zip(pivots, basis):
+        w -= (w[:, p] // row[p])[:, None] * np.array(row, dtype=np.int64)
+    return w
 
 
 def _coverage_bound(report: ReidemeisterReport) -> int:
@@ -322,40 +328,32 @@ def oracle_check(sys: LiftSystem, cfg: OracleConfig, report: ReidemeisterReport 
         report = reidemeister_number(sys)
     if is_infinite(report.total):
         raise InfiniteClassesError("the oracle cannot certify an infinite R")
-    data = report.psi
-    classes = brute_classes(data, cfg)
+    import numpy as np
 
-    # transport table: factor index -> (image lattice, rep, t, phi_i(t)),
-    # so each window cell is labelled with one vector op + one reduction
-    transport = {}
+    data = report.psi
+    ids = brute_classes(data, cfg).reshape(data.n, -1)
+
+    # label each cell (alpha, i) by (representative, reduced alpha - t +
+    # phi_i(t)), transporting it along the transversal vector t of i
+    sheets = {}
     for block in report.blocks:
         rep_idx = block.sigma_class.representative
         for j, t in block.sigma_class.transversal:
             phi_t = psi_of(data, t).translations[j - 1]
-            transport[j] = (block.image_lattice, rep_idx, t, phi_t)
-
-    def label(alpha, i):
-        lattice, rep_idx, t, phi_t = transport[i]
-        moved = tuple(a - b + c for a, b, c in zip(alpha, t, phi_t))
-        return (coset_reduce(lattice, moved), rep_idx)
-
-    label_to_class = {}
-    for idx, cls in enumerate(classes):
-        cls_labels = set()
-        for alpha, i in cls:
-            lbl = label(alpha, i)
-            cls_labels.add(lbl)
-            known = label_to_class.get(lbl)
-            if known is None:
-                label_to_class[lbl] = idx
-            elif known != idx:
-                # engine-equivalent cells landed in different sweep classes
-                return False
-        if len(cls_labels) > 1:
-            # a sweep class mixes engine-inequivalent cells
-            return False
+            shift = [c - a for a, c in zip(t, phi_t)]
+            reduced = _reduce_box(block.image_lattice.basis, shift, cfg.box_bound)
+            sheets[j] = np.column_stack([np.full(len(reduced), rep_idx), reduced])
+    labels = np.concatenate([sheets[j] for j in range(1, data.n + 1)])
+    roots = ids.ravel()
+    n_classes = int(roots.max()) + 1
+    n_labels = int(_row_ids(labels).max()) + 1
+    n_pairs = int(_row_ids(np.column_stack([labels, roots])).max()) + 1
+    # a label in two sweep classes: engine-equivalent cells left unmerged;
+    # a sweep class with two labels: engine-inequivalent cells merged
+    if not n_pairs == n_classes == n_labels:
+        return False
     if cfg.box_bound >= _coverage_bound(report):
-        if len(classes) != report.total:
+        if n_classes != report.total:
             return False
     return True
 

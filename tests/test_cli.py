@@ -306,6 +306,13 @@ class TestBoundaryErrors:
     def test_split_offset_zero_denominator(self, capsys, parts):
         self._one_error(capsys, ["split", "--parts", parts])
 
+    def test_oracle_sweep_beyond_int64(self, capsys, tmp_path):
+        # R = 1, but psi(e_2) translates by 10**18: the word box of bound 5
+        # would leave the int64 range of the oracle's array sweep
+        path = tmp_path / "wide.map"
+        path.write_text(json.dumps({"kind": "linear", "n": 1, "A": [[2, 10**18], [0, 2]]}))
+        self._one_error(capsys, ["oracle-check", str(path), "--box", "2", "--word", "5"])
+
     def test_linear_non_integer_matrix_entry(self, capsys):
         code, _ = run_cli(["linear", "--n", "2", "--matrix", "1/2"])
         err = capsys.readouterr().err.splitlines()

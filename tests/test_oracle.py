@@ -5,14 +5,24 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from nvalued.fixedpoints import fixed_point_classes
-from nvalued.intlinalg import is_infinite, lattice_from_generators
+from nvalued.intlinalg import (
+    Sublattice,
+    coset_reduce,
+    is_infinite,
+    lattice_from_generators,
+)
 from nvalued.liftsystems import make_circle, make_linear, make_split, psi_of, validate
 from nvalued.oracle import (
     BudgetExceededError,
     OracleConfig,
+    _coverage_bound,
+    _moves,
+    _prune_moves,
+    _reduce_box,
     brute_classes,
     brute_fixed_points,
     oracle_check,
@@ -61,21 +71,185 @@ def reference_classes(data, box, word):
     return sorted((frozenset(g) for g in groups.values()), key=min)
 
 
+def window_classes(ids):
+    """The class-id array of :func:`brute_classes` as a list of classes,
+    each a frozenset of (alpha, i) cells, sorted by minimal member."""
+    bound = (ids.shape[1] - 1) // 2
+    groups = {}
+    for (sheet, *idx), cls in np.ndenumerate(ids):
+        alpha = tuple(k - bound for k in idx)
+        groups.setdefault(cls, set()).add((alpha, sheet + 1))
+    return sorted((frozenset(g) for g in groups.values()), key=min)
+
+
+def reference_psi_sweep(data, bound):
+    """Yield (gamma, translations, sigma_images) over the lex-positive
+    half of the word box, composing psi incrementally along the
+    lexicographic walk: the scalar sweep the array sweep must match."""
+    q, n = data.q, data.n
+    gen = [
+        (g.translations, g.perm.images, g.perm.inverse().images)
+        for g in data.generator_images
+    ]
+
+    def raw_compose(a, b):
+        a_trans, a_perm, a_inv = a
+        b_trans, b_perm, b_inv = b
+        trans = tuple(
+            tuple(x + y for x, y in zip(a_trans[i], b_trans[a_inv[i] - 1]))
+            for i in range(n)
+        )
+        perm = tuple(a_perm[b_perm[i] - 1] for i in range(n))
+        inv = tuple(b_inv[a_inv[i] - 1] for i in range(n))
+        return (trans, perm, inv)
+
+    def neg_gen(g):
+        trans, perm, inv = g
+        neg_trans = tuple(tuple(-x for x in trans[perm[i] - 1]) for i in range(n))
+        return (neg_trans, inv, perm)
+
+    identity = (
+        tuple([tuple([0] * q)] * n),
+        tuple(range(1, n + 1)),
+        tuple(range(1, n + 1)),
+    )
+    lowest = []  # gen_k^(-bound)
+    for k in range(q):
+        acc = identity
+        neg = neg_gen(gen[k])
+        for _ in range(bound):
+            acc = raw_compose(acc, neg)
+        lowest.append(acc)
+
+    def walk(prefix, element, k, positive):
+        if k == q:
+            if positive:
+                yield prefix, element[0], element[1]
+            return
+        if positive:
+            current = raw_compose(element, lowest[k])
+            lo = -bound
+        else:
+            # leading coordinates all zero so far: only values >= 0 can
+            # start a lex-positive vector
+            current = element
+            lo = 0
+        for value in range(lo, bound + 1):
+            yield from walk(prefix + (value,), current, k + 1, positive or value > 0)
+            current = raw_compose(current, gen[k])
+
+    yield from walk((), identity, 0, False)
+
+
+def reference_moves(data, bound, limit):
+    """The set of moves (v, j, i) from the scalar sweep, one gamma at a time."""
+    moves = set()
+    for gamma, trans, sigma_images in reference_psi_sweep(data, bound):
+        for j in range(1, data.n + 1):
+            i = sigma_images[j - 1]
+            v = tuple(g - a for g, a in zip(gamma, trans[i - 1]))
+            if i == j and not any(v):
+                continue
+            if any(c > limit or c < -limit for c in v):
+                continue
+            moves.add((v, j, i))
+    return moves
+
+
+def reference_prune(moves):
+    """The move pruning with a separate sign-compatibility predicate."""
+
+    def sign_compatible(u, v):
+        return all(0 <= a <= b or b <= a <= 0 for a, b in zip(u, v))
+
+    scan_cap = 64
+    move_set = set(moves)
+    ordered = sorted(moves, key=lambda m: (sum(map(abs, m[0])), m))
+    kept = []
+    kept_within = {}
+    for v, j, i in ordered:
+        implied = False
+        for u in kept_within.get(j, ())[:scan_cap]:
+            if sign_compatible(u, v):
+                w = tuple(a - b for a, b in zip(v, u))
+                if (w, j, i) in move_set and (any(w) or j != i):
+                    implied = True
+                    break
+        if not implied and i != j:
+            for u in kept_within.get(i, ())[:scan_cap]:
+                if sign_compatible(u, v):
+                    w = tuple(a - b for a, b in zip(v, u))
+                    if (w, j, i) in move_set and any(w):
+                        implied = True
+                        break
+        if implied:
+            continue
+        kept.append((v, j, i))
+        if i == j:
+            kept_within.setdefault(j, []).append(v)
+    return kept
+
+
+def reference_oracle_check(sys, cfg, report):
+    """The per-cell verdict: label every window cell with the engine's
+    ``coset_reduce`` and walk the sweep classes one cell at a time."""
+    data = report.psi
+    classes = window_classes(brute_classes(data, cfg))
+    transport = {}
+    for block in report.blocks:
+        rep_idx = block.sigma_class.representative
+        for j, t in block.sigma_class.transversal:
+            phi_t = psi_of(data, t).translations[j - 1]
+            transport[j] = (block.image_lattice, rep_idx, t, phi_t)
+
+    def label(alpha, i):
+        lattice, rep_idx, t, phi_t = transport[i]
+        moved = tuple(a - b + c for a, b, c in zip(alpha, t, phi_t))
+        return (coset_reduce(lattice, moved), rep_idx)
+
+    label_to_class = {}
+    for idx, cls in enumerate(classes):
+        cls_labels = set()
+        for alpha, i in cls:
+            lbl = label(alpha, i)
+            cls_labels.add(lbl)
+            known = label_to_class.get(lbl)
+            if known is None:
+                label_to_class[lbl] = idx
+            elif known != idx:
+                return False
+        if len(cls_labels) > 1:
+            return False
+    if cfg.box_bound >= _coverage_bound(report):
+        if len(classes) != report.total:
+            return False
+    return True
+
+
+def with_lattice(report, index, lattice):
+    """``report`` with the image lattice of block ``index`` replaced."""
+    block = report.blocks[index]
+    bad_class = dataclasses.replace(block.sigma_class, image_lattice=lattice)
+    blocks = list(report.blocks)
+    blocks[index] = dataclasses.replace(block, sigma_class=bad_class)
+    return dataclasses.replace(report, blocks=tuple(blocks))
+
+
 class TestBruteClasses:
     def test_torus3_window(self):
         data = validate(torus3_system())
-        classes = brute_classes(data, OracleConfig(4, 4))
+        classes = window_classes(brute_classes(data, OracleConfig(4, 4)))
         assert len(classes) == 6
 
     def test_constant_map_single_class(self):
         sys = make_linear(1, [[0]])
-        classes = brute_classes(validate(sys), OracleConfig(4, 4))
+        classes = window_classes(brute_classes(validate(sys), OracleConfig(4, 4)))
         assert len(classes) == 1
 
     def test_circle_2_6(self):
         # degree theory predicts |2 - 6| = 4 classes
         data = validate(make_circle(2, 6))
-        classes = brute_classes(data, OracleConfig(8, 8))
+        classes = window_classes(brute_classes(data, OracleConfig(8, 8)))
         assert len(classes) == 4
 
     def test_matches_reference(self, rng):
@@ -83,9 +257,17 @@ class TestBruteClasses:
             sys = random_system(rng)
             data = validate(sys)
             box = 3 if data.q >= 2 else 5
-            fast = brute_classes(data, OracleConfig(box, box))
+            fast = window_classes(brute_classes(data, OracleConfig(box, box)))
             slow = reference_classes(data, box, box)
             assert fast == slow
+
+    def test_no_move_in_window(self):
+        # every move of circle(1, 30) leaves a box of bound 1: all cells apart
+        data = validate(make_circle(1, 30))
+        assert reference_moves(data, 3, 2) == set()
+        classes = window_classes(brute_classes(data, OracleConfig(1, 3)))
+        assert classes == reference_classes(data, 1, 3)
+        assert len(classes) == 3
 
     def test_budget(self):
         data = validate(torus3_system())
@@ -97,8 +279,8 @@ class TestBruteClasses:
         for _ in range(6):
             sys = random_system(rng)
             data = validate(sys)
-            small = brute_classes(data, OracleConfig(3, 3))
-            big = brute_classes(data, OracleConfig(4, 4))
+            small = window_classes(brute_classes(data, OracleConfig(3, 3)))
+            big = window_classes(brute_classes(data, OracleConfig(4, 4)))
             membership = {}
             for idx, cls in enumerate(big):
                 for cell in cls:
@@ -130,15 +312,10 @@ class TestOracleCheck:
         # must make certification fail
         sys = torus3_system()
         report = reidemeister_number(sys)
-        block = report.blocks[0]
         corrupted_lattice = lattice_from_generators(
             [(2, 0), (0, 4)], 2
         )  # honest lattice is [[1,0],[0,2]]
-        bad_class = dataclasses.replace(block.sigma_class, image_lattice=corrupted_lattice)
-        bad_block = dataclasses.replace(block, sigma_class=bad_class)
-        bad_report = dataclasses.replace(
-            report, blocks=(bad_block,) + report.blocks[1:]
-        )
+        bad_report = with_lattice(report, 0, corrupted_lattice)
         assert oracle_check(sys, OracleConfig(6, 6), report=bad_report) is False
 
 
@@ -191,7 +368,7 @@ class TestStructuralInvariants:
         for cls in report.sigma.classes:
             for j in cls.members:
                 orbit_of[j] = set(cls.members)
-        for window_cls in brute_classes(data, OracleConfig(4, 4)):
+        for window_cls in window_classes(brute_classes(data, OracleConfig(4, 4))):
             indices = {i for _, i in window_cls}
             orbits_seen = {frozenset(orbit_of[i]) for i in indices}
             assert len(orbits_seen) == 1
@@ -200,11 +377,118 @@ class TestStructuralInvariants:
     def test_monotone_in_word_bound_alone(self, rng):
         for _ in range(5):
             data = validate(random_system(rng))
-            small = brute_classes(data, OracleConfig(3, 3))
-            big = brute_classes(data, OracleConfig(3, 5))
+            small = window_classes(brute_classes(data, OracleConfig(3, 3)))
+            big = window_classes(brute_classes(data, OracleConfig(3, 5)))
             membership = {}
             for idx, cls in enumerate(big):
                 for cell in cls:
                     membership[cell] = idx
             for cls in small:
                 assert len({membership[cell] for cell in cls}) == 1
+
+
+class TestArraySweep:
+    def test_moves_match_scalar_sweep(self):
+        rng = random.Random(1301)
+        limits = (1, 3, 6, 12)
+        for draw in range(300):
+            data = validate(random_system(rng))
+            word = 1 + draw % 6
+            limit = limits[draw % len(limits)]
+            moves = _moves(data, word, limit)
+            assert len(moves) == len(set(moves))
+            assert set(moves) == reference_moves(data, word, limit), (draw, word, limit)
+
+    def test_int64_range(self):
+        data = validate(make_linear(1, [[2, 10**18], [0, 2]]))
+        assert set(_moves(data, 2, 4)) == reference_moves(data, 2, 4)
+        with pytest.raises(OverflowError):
+            _moves(data, 5, 4)
+
+    def test_pruning_keeps_the_same_moves(self):
+        rng = random.Random(1302)
+        for draw in range(300):
+            data = validate(random_system(rng))
+            word = 1 + draw % 6
+            moves = reference_moves(data, word, 2 * word)
+            assert _prune_moves(moves) == reference_prune(moves), draw
+
+
+class TestVerdictDifferential:
+    @staticmethod
+    def finite_draws(seed, count):
+        rng = random.Random(seed)
+        drawn = 0
+        while drawn < count:
+            sys = random_system(rng)
+            report = reidemeister_number(sys)
+            if is_infinite(report.total):
+                continue
+            drawn += 1
+            box = 3 if report.psi.q >= 2 else 6
+            yield sys, report, OracleConfig(box, box)
+
+    def test_same_verdict_on_engine_reports(self):
+        for sys, report, cfg in self.finite_draws(1303, 200):
+            expected = reference_oracle_check(sys, cfg, report)
+            assert oracle_check(sys, cfg, report=report) is expected
+
+    def test_same_verdict_on_planted_faults(self):
+        failed = {"coarser": 0, "finer": 0, "total": 0}
+        for sys, report, cfg in self.finite_draws(1304, 120):
+            planted = []
+            for index, block in enumerate(report.blocks):
+                basis = block.image_lattice.basis
+                q = len(basis)
+                # a larger lattice: add the unit vector of a pivot above 1
+                for k in range(q):
+                    if basis[k][k] > 1:
+                        unit = tuple(int(c == k) for c in range(q))
+                        coarser = lattice_from_generators(basis + (unit,), q)
+                        planted.append(("coarser", with_lattice(report, index, coarser)))
+                        break
+                doubled = (tuple(2 * c for c in basis[0]),) + basis[1:]
+                finer = lattice_from_generators(doubled, q)
+                planted.append(("finer", with_lattice(report, index, finer)))
+            coverage = _coverage_bound(report)
+            if coverage <= cfg.box_bound:
+                planted.append(("total", dataclasses.replace(report, total=report.total + 1)))
+            for kind, bad in planted:
+                verdict = oracle_check(sys, cfg, report=bad)
+                assert verdict is reference_oracle_check(sys, cfg, bad), kind
+                failed[kind] += not verdict
+        assert all(failed.values()), failed
+
+
+class TestOwnReduction:
+    def test_matches_coset_reduce(self):
+        rng = random.Random(1305)
+        for draw in range(200):
+            q = rng.randint(1, 4)
+            rank = q if draw % 2 else rng.randint(0, q - 1)
+            gens = [tuple(rng.randint(-6, 6) for _ in range(q)) for _ in range(rank)]
+            lat = lattice_from_generators(gens, q)
+            shift = tuple(rng.randint(-30, 30) for _ in range(q))
+            bound = 2 if q >= 3 else 3
+            reduced = _reduce_box(lat.basis, shift, bound)
+            cells = product(range(-bound, bound + 1), repeat=q)
+            expected = [
+                coset_reduce(lat, tuple(a + s for a, s in zip(alpha, shift)))
+                for alpha in cells
+            ]
+            assert [tuple(r) for r in reduced.tolist()] == expected, (lat, shift)
+
+    def test_int64_edge_is_exact(self):
+        lat = Sublattice(2, ((3, 2**60),))
+        reduced = _reduce_box(lat.basis, (-4, 5), 2)
+        cells = product(range(-2, 3), repeat=2)
+        expected = [coset_reduce(lat, (a - 4, b + 5)) for a, b in cells]
+        assert [tuple(r) for r in reduced.tolist()] == expected
+
+    def test_beyond_int64_raises(self):
+        for basis in ((), ((1, 0), (0, 1))):
+            with pytest.raises(OverflowError):
+                _reduce_box(basis, (2**63 - 1, 0), 1)
+        # the quotient times a large row entry would wrap around
+        with pytest.raises(OverflowError):
+            _reduce_box(((1, 2**62),), (5, 0), 2)
