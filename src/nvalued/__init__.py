@@ -11,7 +11,6 @@ witnesses the junction rearrangement argument on graphs.
 from .intlinalg import (
     INFINITE,
     InfiniteIndexError,
-    SingularMatrixError,
     Sublattice,
     coset_representatives,
     hermite_normal_form,
@@ -20,15 +19,11 @@ from .intlinalg import (
     lattice_from_generators,
     lattice_index,
     smith_normal_form,
-    solve_rational,
 )
 from .semidirect import (
     DimensionMismatchError,
     Permutation,
     SemidirectElement,
-    closure,
-    closure_of,
-    orbits,
 )
 from .liftsystems import (
     AffineLiftFactor,

@@ -19,8 +19,8 @@ Conventions
 * Every determinant, solution, adjugate and kernel comes from
   :func:`eliminate`, a fraction-free Gauss-Jordan elimination over
   ``int``.  Rational input is first scaled row by row to integers
-  (:func:`integer_rows`); ``Fraction`` appears only in the results of the
-  rational wrappers :func:`rational_det` and :func:`solve_rational`.
+  (:func:`integer_rows`); ``Fraction`` appears only in the result of the
+  rational wrapper :func:`rational_det`.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
-
-
-class SingularMatrixError(ValueError):
-    """A square rational system had no unique solution."""
 
 
 class InfiniteIndexError(ValueError):
@@ -402,21 +398,6 @@ def rational_det(mat) -> Fraction:
     """Exact determinant of a square rational matrix."""
     rows, scales = integer_rows(mat)
     return Fraction(eliminate(rows)[2], prod(scales))
-
-
-def solve_rational(mat, rhs):
-    """Unique exact solution of ``A x = b`` for square nonsingular A.
-
-    Raises :class:`SingularMatrixError` when det(A) = 0.
-    """
-    n = len(mat)
-    if any(len(row) != n for row in mat) or len(rhs) != n:
-        raise ValueError("solve_rational needs a square system")
-    rows, _ = integer_rows([[*row, Fraction(b)] for row, b in zip(mat, rhs)])
-    a, _, det = eliminate(rows, n)
-    if det == 0:
-        raise SingularMatrixError("coefficient matrix is singular")
-    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(a))
 
 
 def adjugate(mat):

@@ -8,19 +8,37 @@ arbitrary target placement is possible exactly when the graph has an
 refuses, mirroring the topological obstruction.
 
 Strategy.  The three lexicographically smallest edges at the essential
-vertex are subdivided into corridors of n slots each ("lanes", giving the
-branches room for all tokens plus slack).  Planning runs in two phases on
-a BFS spanning tree rooted at the junction:
+vertex, the junction, are subdivided into corridors of n slots each
+("lanes"); lane 0 is the home lane.  A lane holding tokens at its far end
+is a stack whose top is the slot nearest the junction, and the three
+lanes form a three-stack railway yard (Knuth, TAOCP vol. 1, 2.2.1).  A
+plan has three steps:
 
-1. gather: tokens whose path to the junction runs through a lane walk
-   into that lane from its far side and stack up from the junction end;
-   a restack pass then converts every lane into a stack fed from the
-   junction, and all remaining tokens walk to the junction and push into
-   the emptiest lane;
-2. place, deepest goal first: the lane on the goal's root path (if any)
-   is evacuated into the other lanes, tokens stacked above the moving
-   token are popped aside, and the token walks through the junction to
-   its goal, never to move again.
+1. gather: fill the home lane, ignoring which token goes where.  Each
+   round runs a breadth-first search from the free home slots to the
+   nearest token outside the lane.  Every other token on that path sits
+   in an occupied home slot: a token outside the lane would be nearer,
+   and a free slot would be a search source.  So the tokens on the path
+   each shift forward one stretch, the one nearest the free slot first,
+   and one more slot fills.  Gathering cannot wedge.
+2. shunt: all n tokens are home and the two other lanes are empty.  A
+   shunt moves the top token of one lane through the junction onto the
+   stack of another.  Unless the home order is already the wanted one,
+   the home lane is dumped into lane 1; then, deepest wanted token
+   first, the tokens above it are shunted to the other buffer lane and
+   it is shunted home.
+3. unload: the same gather, run from the goal placement, ends in some
+   home order, and that order is the wanted one.  Its moves, reversed and
+   with source and target swapped, take that order to the goal.
+
+Bound.  Let n be the number of tokens and V' the number of vertices of
+the prepared graph.  A gather round walks one shortest path of at most
+V' - 1 edges and fills one of n slots, so a gather takes at most
+n(V' - 1) moves.  The dump is n shunts, and each wanted token then takes
+at most n more (the tokens above it, then itself): at most n(n + 1)
+shunts, each at most n moves up to the junction and n down.  Hence
+
+    poly_bound = 2n(V' - 1) + 2n^2(n + 1).
 
 Every emitted move is validated against the occupancy invariant as it is
 generated, and :func:`simulate` replays schedules independently.
@@ -28,6 +46,7 @@ generated, and :func:`simulate` replays schedules independently.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 
@@ -44,7 +63,8 @@ class CollisionDetectedError(ValueError):
 
 
 class PlannerStuckError(RuntimeError):
-    """Lane bookkeeping wedged (cannot happen for n <= 5 tokens)."""
+    """An internal invariant broke: a step onto an occupied vertex, or a
+    schedule that ends off the goal.  Valid input never raises it."""
 
 
 @dataclass(frozen=True)
@@ -181,20 +201,19 @@ def validate_graph(g: TokenGraph) -> Junction:
     at the junction are each subdivided into n+1 segments, so at least
     n+2 vertices lie on the three branches.
     """
-    essential = [v for v in g.vertices if g.degree(v) >= 3]
+    adj = g.adjacency()
+    essential = [v for v in g.vertices if len(adj[v]) >= 3]
     if not essential:
         raise NoEssentialVertexError(
             "graph is a path or cycle: token rearrangement is obstructed"
         )
     junction = min(essential)
-    adj = g.adjacency()
     heads = adj[junction][:3]
     n = max(1, g.n_tokens)
 
     vset = set(g.vertices)
     edges = set(g.edges)
     lanes = []
-    new_vertices = []
     for head in heads:
         edges.discard((min(junction, head), max(junction, head)))
         slots = []
@@ -204,7 +223,6 @@ def validate_graph(g: TokenGraph) -> Junction:
                 label = "_" + label
             vset.add(label)
             slots.append(label)
-            new_vertices.append(label)
         chain = [junction] + slots + [head]
         for a, b in zip(chain, chain[1:]):
             edges.add((min(a, b), max(a, b)))
@@ -243,275 +261,81 @@ def simulate(g: TokenGraph, schedule: MoveSchedule):
     return pos
 
 
-class _Planner:
-    def __init__(self, junction_info: Junction, goal: dict):
-        self.info = junction_info
-        self.graph = junction_info.graph
-        self.junction = junction_info.vertex
-        self.lanes = junction_info.lanes
-        self.goal = goal
-        self.adj = self.graph.adjacency()
-        self.pos = self.graph.placement_dict()
+class _Yard:
+    """Token positions and occupancy on the prepared graph, with the moves
+    emitted so far."""
+
+    def __init__(self, info: Junction, placement: dict):
+        self.info = info
+        self.adj = info.graph.adjacency()
+        self.pos = dict(placement)
         self.occupied = {v: t for t, v in self.pos.items()}
         self.moves = []
-        self.parent, self.depth = self._bfs_tree()
-        self.lane_of_slot = {}
-        for idx, lane in enumerate(self.lanes):
-            for slot in lane:
-                self.lane_of_slot[slot] = idx
 
-    def _bfs_tree(self):
-        parent = {self.junction: None}
-        depth = {self.junction: 0}
-        frontier = [self.junction]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in self.adj[v]:
-                    if w not in parent:
-                        parent[w] = v
-                        depth[w] = depth[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return parent, depth
-
-    # -- elementary moves -------------------------------------------------
-
-    def _step(self, token, dst):
-        src = self.pos[token]
-        if dst in self.occupied:
-            raise PlannerStuckError(f"internal: step onto occupied {dst!r}")
-        self.moves.append(Move(token, src, dst))
-        del self.occupied[src]
-        self.occupied[dst] = token
-        self.pos[token] = dst
-
-    def _walk(self, token, path):
+    def walk(self, token, path):
         for dst in path:
-            self._step(token, dst)
+            if dst in self.occupied:
+                raise PlannerStuckError(f"internal: step onto occupied {dst!r}")
+            src = self.pos[token]
+            self.moves.append(Move(token, src, dst))
+            del self.occupied[src]
+            self.occupied[dst] = token
+            self.pos[token] = dst
 
-    def _root_path(self, v):
-        """Path v -> junction, excluding v itself."""
-        out = []
-        while v != self.junction:
-            v = self.parent[v]
-            out.append(v)
-        return out
+    def stack(self, lane):
+        """Tokens in ``lane``, top (nearest the junction) first."""
+        return [self.occupied[s] for s in self.info.lanes[lane] if s in self.occupied]
 
-    def _down_path(self, v):
-        """Path junction -> v, excluding the junction."""
-        return list(reversed([v] + self._root_path(v)))[1:]
-
-    def _child_toward(self, v):
-        """The junction's child on the root path of v (None for v = junction)."""
-        if v == self.junction:
-            return None
-        prev = v
-        for anc in self._root_path(v):
-            if anc == self.junction:
-                return prev
-            prev = anc
-        return prev
-
-    # -- lane bookkeeping --------------------------------------------------
-
-    def _lane_tokens(self, idx):
-        """Tokens inside lane idx, nearest the junction first."""
-        return [
-            self.occupied[slot] for slot in self.lanes[idx] if slot in self.occupied
-        ]
-
-    def _lane_free(self, idx):
-        return sum(1 for slot in self.lanes[idx] if slot not in self.occupied)
-
-    def _lane_is_junction_stack(self, idx):
-        """True when occupied slots form a suffix (deep end) of the lane."""
-        seen_token = False
-        for slot in self.lanes[idx]:
-            if slot in self.occupied:
-                seen_token = True
-            elif seen_token:
-                return False
-        return True
-
-    def _push_into_lane(self, token, idx):
-        """Walk a token at the junction into lane idx, stopping above the stack."""
-        lane = self.lanes[idx]
-        path = []
-        for slot in lane:
-            if slot in self.occupied:
-                break
-            path.append(slot)
-        if not path:
-            raise PlannerStuckError(f"lane {idx} cannot accept a push")
-        self._walk(token, path)
-
-    def _pop_from_lane(self, token):
-        """Walk a lane token up to the junction."""
-        slot = self.pos[token]
-        idx = self.lane_of_slot[slot]
-        lane = self.lanes[idx]
-        k = lane.index(slot)
-        path = list(reversed(lane[:k])) + [self.junction]
-        self._walk(token, path)
-
-    def _emptiest_lane(self, exclude=()):
-        best = None
-        for idx in range(len(self.lanes)):
-            if idx in exclude:
-                continue
-            free = self._lane_free(idx)
-            if free == 0:
-                continue
-            if best is None or free > self._lane_free(best):
-                best = idx
-        if best is None:
-            raise PlannerStuckError("no lane can accept a token")
-        return best
-
-    # -- phase 1: gather ---------------------------------------------------
-
-    def _gather(self):
-        lane_heads = {}
-        for idx, lane in enumerate(self.lanes):
-            # the original vertex at the far end of the lane corridor
-            far = [w for w in self.adj[lane[-1]] if w != (lane[-2] if len(lane) > 1 else self.junction)]
-            lane_heads[idx] = far[0] if far else None
-
-        # a token resting on the junction plugs everything: shelve it first
-        if self.junction in self.occupied:
-            token = self.occupied[self.junction]
-            idx = min(
-                range(len(self.lanes)),
-                key=lambda k: (len(self._dwellers(k)), k),
-            )
-            self._step(token, self.lanes[idx][0])
-
-        # far-side dwellers stack shallow-first into their own lane
-        for idx in range(len(self.lanes)):
-            for token in self._dwellers(idx):
-                self._park_dweller(token, idx)
-
-        self._restack_lanes()
-
-        # everyone else walks to the junction and pushes in
-        rest = [
-            t
-            for t in sorted(self.pos)
-            if self.pos[t] not in self.lane_of_slot
-        ]
-        rest.sort(key=lambda t: (self.depth[self.pos[t]], self.pos[t], t))
-        for token in rest:
-            path = self._root_path(self.pos[token])
-            self._walk(token, path)
-            self._push_into_lane(token, self._emptiest_lane())
-
-    def _dwellers(self, idx):
-        """Tokens whose root path runs through lane idx, nearest first."""
-        out = []
-        for token, vertex in sorted(self.pos.items()):
-            if vertex in self.lane_of_slot:
-                continue
-            if vertex == self.junction:
-                continue
-            child = self._child_toward(vertex)
-            if child == self.lanes[idx][0]:
-                out.append(token)
-        out.sort(key=lambda t: (self.depth[self.pos[t]], self.pos[t], t))
-        return out
-
-    def _park_dweller(self, token, idx):
-        """Walk a beyond-lane token into its own lane from the far side."""
-        lane = self.lanes[idx]
-        up = [self.pos[token]] + self._root_path(self.pos[token])
-        # truncate at the first free lane slot reached from the far end
-        path = []
-        for v in up[1:]:
-            if v in self.lane_of_slot and v in self.occupied:
-                break
-            if v == self.junction:
-                break
-            path.append(v)
-        # path now ends at the shallowest free slot above the stack
-        while path and path[-1] not in self.lane_of_slot:
-            path.pop()
-        if not path or path[-1] not in self.lane_of_slot:
-            raise PlannerStuckError(f"dweller {token} found no lane slot")
-        self._walk(token, path)
-
-    def _restack_lanes(self):
-        """Convert every lane into a stack fed from the junction side."""
+    def gather(self):
+        """Fill the home lane with every token, in whatever order."""
+        home = self.info.lanes[0]
         while True:
-            shallow = [
-                idx
-                for idx in range(len(self.lanes))
-                if self._lane_tokens(idx) and not self._lane_is_junction_stack(idx)
-            ]
-            if not shallow:
+            free = [s for s in home if s not in self.occupied]
+            if not free:
                 return
-            # lanes usable as push targets right now
-            deep = [
-                idx
-                for idx in range(len(self.lanes))
-                if idx not in shallow and self._lane_free(idx) > 0
-            ]
-            single = [idx for idx in shallow if len(self._lane_tokens(idx)) == 1]
-            if single:
-                idx = single[0]
-                token = self._lane_tokens(idx)[0]
-                self._pop_from_lane(token)
-                self._push_into_lane(token, idx)
-            elif deep:
-                idx = shallow[0]
-                token = self._lane_tokens(idx)[0]
-                self._pop_from_lane(token)
-                self._push_into_lane(token, deep[0])
-            else:
-                raise PlannerStuckError(
-                    "all lanes are far-anchored with 2+ tokens "
-                    "(requires 6+ tokens); rearrangement bookkeeping wedged"
-                )
+            # breadth-first from the free slots; ``toward[v]`` is v's next
+            # vertex on a shortest path to one of them
+            toward = dict.fromkeys(free)
+            queue = deque(free)
+            found = None
+            while found is None:
+                v = queue.popleft()
+                for w in self.adj[v]:
+                    if w not in toward:
+                        toward[w] = v
+                        if w in self.occupied and w not in home:
+                            found = w
+                            break
+                        queue.append(w)
+            path = [found]
+            while toward[path[-1]] is not None:
+                path.append(toward[path[-1]])
+            # every token on the path after the first sits in a home slot;
+            # each shifts to the next one's vertex, nearest the free slot first
+            stops = [i for i, v in enumerate(path) if v in self.occupied]
+            for i, j in reversed(list(zip(stops, stops[1:] + [len(path) - 1]))):
+                self.walk(self.occupied[path[i]], path[i + 1 : j + 1])
 
-    # -- phase 2: place ----------------------------------------------------
+    def shunt(self, src, dst):
+        """Move the top token of lane ``src`` through the junction onto the
+        stack in lane ``dst``."""
+        lanes = self.info.lanes
+        top = next(k for k, s in enumerate(lanes[src]) if s in self.occupied)
+        floor = next((k for k, s in enumerate(lanes[dst]) if s in self.occupied), len(lanes[dst]))
+        path = [*reversed(lanes[src][:top]), self.info.vertex, *lanes[dst][:floor]]
+        self.walk(self.occupied[lanes[src][top]], path)
 
-    def _place_all(self):
-        order = sorted(
-            self.goal,
-            key=lambda t: (-self.depth[self.goal[t]], self.goal[t], t),
-        )
-        finalized = set()
-        for token in order:
-            self._place(token, finalized)
-            finalized.add(token)
-
-    def _place(self, token, finalized):
-        t = self.goal[token]
-        lane_on_path = None
-        child = self._child_toward(t)
-        for idx in range(len(self.lanes)):
-            if child == self.lanes[idx][0]:
-                lane_on_path = idx
-                break
-        if lane_on_path is not None:
-            # clear the lane the walk must cross
-            for other in list(self._lane_tokens(lane_on_path)):
-                self._pop_from_lane(other)
-                self._push_into_lane(other, self._emptiest_lane(exclude=(lane_on_path,)))
-        # pop tokens stacked above the moving one
-        slot = self.pos[token]
-        idx = self.lane_of_slot[slot]
-        lane = self.lanes[idx]
-        k = lane.index(slot)
-        exclude = {idx}
-        if lane_on_path is not None:
-            exclude.add(lane_on_path)
-        for s in lane[:k]:
-            if s in self.occupied:
-                other = self.occupied[s]
-                self._pop_from_lane(other)
-                self._push_into_lane(other, self._emptiest_lane(exclude=tuple(exclude)))
-        self._pop_from_lane(token)
-        self._walk(token, self._down_path(t))
+    def arrange(self, wanted):
+        """Restack the full home lane into the order ``wanted``, top first."""
+        if self.stack(0) == wanted:
+            return
+        for _ in wanted:
+            self.shunt(0, 1)
+        for token in reversed(wanted):
+            lane = 1 if token in self.stack(1) else 2
+            while self.stack(lane)[0] != token:
+                self.shunt(lane, 3 - lane)
+            self.shunt(lane, 0)
 
 
 def plan(g: TokenGraph, goal) -> PlanResult:
@@ -543,21 +367,23 @@ def plan(g: TokenGraph, goal) -> PlanResult:
             junction=info.vertex,
             poly_bound=0,
         )
-    planner = _Planner(info, goal_map)
-    planner._gather()
-    planner._place_all()
+    yard = _Yard(info, start)
+    yard.gather()
+    unload = _Yard(info, goal_map)
+    unload.gather()
+    yard.arrange(unload.stack(0))
+    for move in reversed(unload.moves):
+        yard.walk(move.token, [move.source])
     n = g.n_tokens
-    v_count = len(info.graph.vertices)
-    bound = 4 * (n + 1) * (n + 2) * v_count
-    if len(planner.moves) > bound:
+    bound = 2 * n * (len(info.graph.vertices) - 1) + 2 * n * n * (n + 1)
+    if len(yard.moves) > bound:
         raise AssertionError(
-            f"schedule length {len(planner.moves)} exceeded the bound {bound}"
+            f"schedule length {len(yard.moves)} exceeded the bound {bound}"
         )
-    final = {t: planner.pos[t] for t in goal_map}
-    if final != goal_map:
+    if yard.pos != goal_map:
         raise PlannerStuckError("planner terminated off-goal")
     return PlanResult(
-        schedule=MoveSchedule(moves=tuple(planner.moves)),
+        schedule=MoveSchedule(moves=tuple(yard.moves)),
         graph=info.graph,
         junction=info.vertex,
         poly_bound=bound,

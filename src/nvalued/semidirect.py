@@ -1,4 +1,4 @@
-"""Arithmetic in the group (Z^q)^n x| Sigma_n and finite permutation closures.
+"""Arithmetic in the group (Z^q)^n x| Sigma_n.
 
 Elements ``(a_1, ..., a_n; s)`` carry n translation vectors in Z^q and a
 permutation s of {1..n}.  Written additively in the abelian part, the
@@ -112,47 +112,3 @@ class SemidirectElement:
         ts = ", ".join(str(list(t)) for t in self.translations)
         return f"SemidirectElement([{ts}]; {list(self.perm.images)})"
 
-
-def closure(generators):
-    """Subgroup of Sigma_n generated by the given permutations (BFS)."""
-    gens = list(generators)
-    if not gens:
-        raise ValueError("closure of an empty set needs an explicit degree; pass [identity]")
-    n = gens[0].n
-    if any(g.n != n for g in gens):
-        raise DimensionMismatchError("generators act on different degrees")
-    identity = Permutation.identity(n)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                cand = g.compose(p)
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def closure_of(generators, n: int):
-    """Like :func:`closure` but well defined for an empty generator list."""
-    gens = list(generators)
-    if not gens:
-        return frozenset({Permutation.identity(n)})
-    return closure(gens)
-
-
-def orbits(subgroup, n: int):
-    """Orbit partition of {1..n} under a set of permutations closed under
-    composition.  Blocks are sorted by their minimal element."""
-    remaining = set(range(1, n + 1))
-    blocks = []
-    while remaining:
-        start = min(remaining)
-        block = {sigma(start) for sigma in subgroup}
-        block.add(start)
-        blocks.append(tuple(sorted(block)))
-        remaining -= block
-    return blocks

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nvalued.liftsystems import lift_system, make_circle, make_linear, make_split
+from nvalued.semidirect import Permutation
 
 
 def torus3_system():
@@ -101,6 +102,16 @@ def random_system(rng: random.Random):
         return make_split(random_split_system(rng))
     n, rows, _ = random_linear_system(rng, nonzero_nielsen=False)
     return make_linear(n, rows)
+
+
+def closure(generators, n: int):
+    """The subgroup of Sigma_n generated by ``generators`` (BFS)."""
+    group = {Permutation.identity(n)}
+    frontier = group
+    while frontier:
+        frontier = {g.compose(p) for p in frontier for g in generators} - group
+        group |= frontier
+    return frozenset(group)
 
 
 @pytest.fixture

@@ -225,6 +225,20 @@ class TestPlanCommand:
         assert doc["final"] == {"1": "b", "2": "a"}
         assert doc["length"] == len(doc["moves"])
 
+    def test_many_tokens_on_a_small_tree(self, tmp_path):
+        # six tokens on seven vertices, where lane bookkeeping once wedged
+        path = tmp_path / "g.graph"
+        path.write_text(
+            "edge 0 1\nedge 0 6\nedge 1 2\nedge 2 3\nedge 2 4\nedge 4 5\n"
+            "token 1 3\ntoken 2 5\ntoken 3 6\ntoken 4 0\ntoken 5 2\ntoken 6 4\n"
+            "goal 1 4\ngoal 2 0\ngoal 3 5\ngoal 4 1\ngoal 5 2\ngoal 6 6\n"
+        )
+        code, text = run_cli(["plan", str(path), "--format", "structured"])
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["final"] == {"1": "4", "2": "0", "3": "5", "4": "1", "5": "2", "6": "6"}
+        assert doc["length"] == len(doc["moves"]) <= doc["bound"]
+
     def test_path_graph_exit_one(self, tmp_path):
         path = tmp_path / "p.graph"
         path.write_text("edge a b\nedge b c\ntoken 1 a\ngoal 1 c\n")

@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 from nvalued.intlinalg import (
     INFINITE,
     InfiniteIndexError,
-    SingularMatrixError,
     adjugate,
     coset_reduce,
     coset_representatives,
     eliminate,
     hermite_normal_form,
+    integer_rows,
     is_infinite,
     lattice_contains,
     lattice_from_generators,
@@ -25,10 +25,20 @@ from nvalued.intlinalg import (
     mat_mul,
     rational_det,
     smith_normal_form,
-    solve_rational,
 )
 
 small_entries = st.integers(min_value=-9, max_value=9)
+
+
+def solve_rational(mat, rhs):
+    """The exact solution of ``A x = b`` from :func:`eliminate` with ``b``
+    carried as an extra column; None when det(A) = 0."""
+    n = len(mat)
+    rows, _ = integer_rows([[*row, Fraction(b)] for row, b in zip(mat, rhs)])
+    a, _, det = eliminate(rows, n)
+    if det == 0:
+        return None
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(a))
 
 
 def int_det(mat):
@@ -261,6 +271,8 @@ class TestSublattice:
 
 
 class TestSolve:
+    """Exact solving by the elimination kernel with a carried column."""
+
     def test_diag_half_two(self):
         x = solve_rational([[Fraction(1, 2), 0], [0, 2]], [0, 1])
         assert x == (Fraction(0), Fraction(1, 2))
@@ -286,8 +298,7 @@ class TestSolve:
                 assert sum(a[r][c] * x[c] for c in range(q)) == b[r]
 
     def test_singular(self):
-        with pytest.raises(SingularMatrixError):
-            solve_rational([[1, 1], [1, 1]], [0, 1])
+        assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
 
 
 class TestEliminationKernel:

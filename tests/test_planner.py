@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nvalued.planner import (
     CollisionDetectedError,
@@ -36,6 +38,39 @@ def random_tree(rng, nv):
     for i in range(1, nv):
         edges.append((labels[rng.randrange(i)], labels[i]))
     return labels, edges
+
+
+# a 7-vertex tree with 6 tokens on which a lane-bookkeeping planner wedged
+# ("all lanes are far-anchored"), though the rearrangement is solvable
+WEDGED_TREE = (
+    [(0, 1), (0, 6), (1, 2), (2, 3), (2, 4), (4, 5)],
+    [3, 5, 6, 0, 2, 4],
+    [4, 0, 5, 1, 2, 6],
+)
+
+
+# 9 tokens on a 10-vertex tree; the 821-move schedule exceeds
+# 2n(V' - 1) + 2n^2 = 810, so the bound needs its cubic shunting term
+SATURATED_TREE = (
+    [(0, 1), (0, 5), (1, 2), (2, 3), (2, 7), (3, 4), (3, 6), (3, 9), (6, 8)],
+    [2, 8, 1, 4, 0, 9, 7, 5, 3],
+    [9, 2, 4, 7, 3, 5, 6, 0, 8],
+)
+
+
+@st.composite
+def token_problems(draw):
+    """A random recursive tree on 4-17 vertices, possibly with extra edges,
+    and distinct start and goal vertices for 1..min(16, V - 1) tokens."""
+    nv = draw(st.integers(4, 17))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, nv)}
+    vertex = st.integers(0, nv - 1)
+    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=nv // 2))
+    edges |= {(min(u, w), max(u, w)) for u, w in extra if u != w}
+    n = draw(st.integers(1, min(16, nv - 1)))
+    start = draw(st.permutations(range(nv)))[:n]
+    goal = draw(st.permutations(range(nv)))[:n]
+    return sorted(edges), start, goal
 
 
 class TestTokenGraph:
@@ -224,3 +259,20 @@ class TestPlan:
             result = plan(g, goal)
             assert simulate(result.graph, result.schedule) == goal
             planned += 1
+
+    @example(WEDGED_TREE)
+    @example(SATURATED_TREE)
+    @given(token_problems())
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_complete_within_bound(self, problem):
+        edges, start, goal = problem
+        vertices = {v for edge in edges for v in edge}
+        g = TokenGraph.build(vertices, edges, dict(enumerate(start, 1)))
+        goal = {t: str(v) for t, v in enumerate(goal, 1)}
+        if max(g.degree(v) for v in g.vertices) < 3:
+            with pytest.raises(NoEssentialVertexError):
+                plan(g, goal)
+            return
+        result = plan(g, goal)
+        assert simulate(result.graph, result.schedule) == goal
+        assert len(result.schedule) <= result.poly_bound or not result.schedule.moves

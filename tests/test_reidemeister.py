@@ -17,7 +17,7 @@ from nvalued.liftsystems import (
 from nvalued import reidemeister
 from nvalued.reidemeister import class_label, reidemeister_number, sigma_classes
 
-from conftest import random_system, torus3_system
+from conftest import closure, random_system, torus3_system
 
 
 @pytest.fixture(scope="module")
@@ -59,12 +59,11 @@ class TestSigmaClasses:
 
     def test_stabilizer_index_divides_group_order(self, rng):
         from nvalued.intlinalg import lattice_index
-        from nvalued.semidirect import closure_of
 
         for _ in range(25):
             data = validate(random_system(rng))
             perms = [img.perm for img in data.generator_images]
-            group = closure_of([p for p in perms if not p.is_identity()], data.n)
+            group = closure(perms, data.n)
             report = sigma_classes(data)
             for cls in report.classes:
                 idx = lattice_index(cls.stabilizer)

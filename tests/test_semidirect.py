@@ -1,4 +1,4 @@
-"""Group arithmetic in (Z^q)^n x| Sigma_n and permutation closures."""
+"""Group arithmetic in (Z^q)^n x| Sigma_n, and the tests' permutation closure."""
 
 import pytest
 
@@ -6,10 +6,9 @@ from nvalued.semidirect import (
     DimensionMismatchError,
     Permutation,
     SemidirectElement,
-    closure,
-    closure_of,
-    orbits,
 )
+
+from conftest import closure
 
 
 def random_element(rng, n, q, bound=10):
@@ -99,17 +98,17 @@ class TestSemidirect:
 class TestClosure:
     def test_single_transposition(self):
         nu = Permutation((2, 1, 3))
-        group = closure([nu])
+        group = closure([nu], 3)
         assert group == frozenset({nu, Permutation.identity(3)})
 
     def test_empty_generators(self):
-        assert closure_of([], 4) == frozenset({Permutation.identity(4)})
+        assert closure([], 4) == frozenset({Permutation.identity(4)})
 
     def test_full_symmetric_group(self):
         # frozen from direct enumeration: |S_3| = 6
         three_cycle = Permutation((2, 3, 1))
         transposition = Permutation((2, 1, 3))
-        group = closure([three_cycle, transposition])
+        group = closure([three_cycle, transposition], 3)
         assert len(group) == 6
 
     def test_closure_is_closed(self, rng):
@@ -120,7 +119,7 @@ class TestClosure:
                 images = list(range(1, n + 1))
                 rng.shuffle(images)
                 gens.append(Permutation(tuple(images)))
-            group = closure(gens)
+            group = closure(gens, n)
             for g in gens:
                 assert g in group
             for a in group:
@@ -128,26 +127,3 @@ class TestClosure:
                 for b in group:
                     assert a.compose(b) in group
 
-
-class TestOrbits:
-    def test_transposition_orbits(self):
-        group = closure([Permutation((2, 1, 3))])
-        assert orbits(group, 3) == [(1, 2), (3,)]
-
-    def test_identity_orbits(self):
-        group = closure_of([], 4)
-        assert orbits(group, 4) == [(1,), (2,), (3,), (4,)]
-
-    def test_transitive(self):
-        group = closure([Permutation((2, 3, 1)), Permutation((2, 1, 3))])
-        assert orbits(group, 3) == [(1, 2, 3)]
-
-    def test_partition(self, rng):
-        for _ in range(30):
-            n = rng.randint(1, 6)
-            images = list(range(1, n + 1))
-            rng.shuffle(images)
-            group = closure([Permutation(tuple(images))])
-            blocks = orbits(group, n)
-            flat = sorted(x for block in blocks for x in block)
-            assert flat == list(range(1, n + 1))
