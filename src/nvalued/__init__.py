@@ -18,7 +18,6 @@ from .intlinalg import (
     lattice_contains,
     lattice_from_generators,
     lattice_index,
-    smith_normal_form,
 )
 from .semidirect import (
     DimensionMismatchError,

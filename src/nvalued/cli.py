@@ -47,6 +47,8 @@ from .reidemeister import reidemeister_number
 
 USAGE_ERROR = 2
 MODEL_ERROR = 1
+# reports list every class; a finite R above this is refused, not listed
+LISTING_LIMIT = 10**6
 
 
 class DocumentError(ValueError):
@@ -231,6 +233,10 @@ def build_report(kind, sys: LiftSystem, oracle_section=None, report=None):
     """
     if report is None:
         report = reidemeister_number(sys)
+    if not is_infinite(report.total) and report.total > LISTING_LIMIT:
+        raise ValueError(
+            f"R = {report.total} classes is too many to list (limit {LISTING_LIMIT})"
+        )
     doc = {
         "kind": kind,
         "n": sys.n,

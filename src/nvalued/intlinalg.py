@@ -2,9 +2,9 @@
 
 Everything here runs on Python's arbitrary-precision integers and
 ``fractions.Fraction``; there is no floating point anywhere.  The module
-provides the two normal forms used by the rest of the package (row-style
-Hermite and Smith), a canonical representation of sublattices of Z^q,
-coset enumeration inside a fundamental box, and one elimination kernel.
+provides the row-style Hermite normal form, a canonical representation
+of sublattices of Z^q, coset enumeration inside a fundamental box, and
+one elimination kernel.
 
 Conventions
 -----------
@@ -170,80 +170,6 @@ def hermite_normal_form(mat):
             if r == rows:
                 break
     return m, u
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-
-
-def smith_normal_form(mat):
-    """Invariant factors d_1 | d_2 | ... of an integer matrix.
-
-    Elementary row and column operations with pivot selection by minimal
-    absolute value; adequate for the small dense matrices this package
-    meets.  Returns a list of length min(rows, cols), zeros at the end
-    when the rank is deficient.
-    """
-    a = [list(map(int, row)) for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    size = min(rows, cols)
-    factors = []
-    k = 0
-    while k < size:
-        pivot = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[k], a[pi] = a[pi], a[k]
-        for row in a:
-            row[k], row[pj] = row[pj], row[k]
-        while True:
-            # clear column k
-            dirty = False
-            for i in range(k + 1, rows):
-                if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
-                    for j in range(k, cols):
-                        a[i][j] -= q * a[k][j]
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        dirty = True
-            if dirty:
-                continue
-            # clear row k
-            for j in range(k + 1, cols):
-                if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
-                    for i in range(k, rows):
-                        a[i][j] -= q * a[i][k]
-                    if a[k][j] != 0:
-                        for i in range(k, rows):
-                            a[i][k], a[i][j] = a[i][j], a[i][k]
-                        dirty = True
-            if not dirty:
-                break
-        # enforce divisibility of the remaining block by the pivot
-        offender = None
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if a[i][j] % a[k][k] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(k, cols):
-                a[k][j] += a[offender][j]
-            continue
-        factors.append(abs(a[k][k]))
-        k += 1
-    factors.extend([0] * (size - len(factors)))
-    return factors
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ merging along every gamma in [-G, G]^q whenever the target stays inside
 the window.  Every step runs on numpy arrays over a whole box: psi is
 tabulated over the word box by composing per-generator power tables, a
 single move translates a whole grid sheet, so per (gamma, j) the overlap
-of the box with its translate is merged in one batched union-find pass,
-and the check labels every cell of a sheet with one int64 pass of the
-oracle's own coset reduction against the engine's image lattice.
+of the box with its translate is merged by union-find rounds on whole
+arrays (find by pointer jumping, then hook each larger root under the
+smaller), and the check labels every cell of a sheet with one int64 pass
+of the oracle's own coset reduction against the engine's image lattice.
 """
 
 from __future__ import annotations
@@ -182,48 +183,34 @@ def _prune_moves(moves):
     return kept
 
 
-class _BatchedUnionFind:
-    """Union-find over integer cells with vectorized batched finds."""
+def _find(parent, idx):
+    """Roots of the cells ``idx``, compressing their paths on the way."""
+    roots = parent[idx]
+    while True:
+        nxt = parent[roots]
+        if (nxt == roots).all():
+            return roots
+        parent[idx] = nxt
+        roots = nxt
 
-    def __init__(self, size: int):
-        import numpy as np
 
-        self.parent = np.arange(size, dtype=np.int64)
+def _union(parent, a, b):
+    """Merge the class of cell a[k] with the class of b[k], for every k.
 
-    def find_many(self, idx):
-        parent = self.parent
-        roots = parent[idx]
-        while True:
-            nxt = parent[roots]
-            if (nxt == roots).all():
-                break
-            parent[idx] = nxt
-            roots = nxt
-        return roots
+    Each round hooks the larger root of every unmerged pair under the
+    smaller one; ``minimum.at`` keeps the smallest bid where several pairs
+    share a root.  Parents only ever point to smaller cells, so each root
+    is its class's smallest cell.
+    """
+    import numpy as np
 
-    def union_pairs(self, a_roots, b_roots):
-        import numpy as np
-
-        parent = self.parent
-        mask = a_roots != b_roots
-        if not mask.any():
+    while True:
+        ra, rb = _find(parent, a), _find(parent, b)
+        differ = ra != rb
+        if not differ.any():
             return
-        pa = a_roots[mask]
-        pb = b_roots[mask]
-        size = len(parent)
-        pairs = np.unique(np.minimum(pa, pb) * size + np.maximum(pa, pb))
-        for x, y in zip((pairs // size).tolist(), (pairs % size).tolist()):
-            rx = x
-            while parent[rx] != rx:
-                rx = parent[rx]
-            ry = y
-            while parent[ry] != ry:
-                ry = parent[ry]
-            if rx != ry:
-                if rx < ry:
-                    parent[ry] = rx
-                else:
-                    parent[rx] = ry
+        a, b = ra[differ], rb[differ]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
 
 
 def brute_classes(data: PsiData, cfg: OracleConfig):
@@ -246,20 +233,17 @@ def brute_classes(data: PsiData, cfg: OracleConfig):
             f"sweep cost {cost} exceeds budget {cfg.budget}; "
             "shrink the window or raise OracleConfig.budget"
         )
-    uf = _BatchedUnionFind(n * box)
+    parent = np.arange(n * box, dtype=np.int64)
     grid = np.arange(box, dtype=np.int64).reshape([side] * q)
 
     for v, j, i in _prune_moves(_moves(data, G, 2 * B)):
         # the part of the box that v keeps inside it, and its translate
         src = grid[tuple(slice(max(0, -c), min(side, side - c)) for c in v)]
         dst = grid[tuple(slice(max(0, c), min(side, side + c)) for c in v)]
-        roots = uf.find_many(
-            np.concatenate([src.ravel() + (j - 1) * box, dst.ravel() + (i - 1) * box])
-        )
-        uf.union_pairs(*np.split(roots, 2))
+        _union(parent, src.ravel() + (j - 1) * box, dst.ravel() + (i - 1) * box)
 
-    # union keeps the smaller root, so each root is its class's first cell
-    _, ids = np.unique(uf.find_many(np.arange(n * box)), return_inverse=True)
+    # each root is its class's smallest, hence first, cell
+    _, ids = np.unique(_find(parent, np.arange(n * box)), return_inverse=True)
     return ids.reshape((n,) + (side,) * q)
 
 
@@ -298,19 +282,15 @@ def _reduce_box(basis, shift, bound: int):
 def _coverage_bound(report: ReidemeisterReport) -> int:
     """Smallest box bound that provably covers every engine class.
 
-    Representative coordinates never exceed the HNF diagonal of their
-    image lattice, so reps + one diagonal step stay in any box that is
-    at least as large as (max |rep coordinate|) + (max diagonal entry).
+    Every entry of a full-rank row HNF lies in [0, d_max), d_max the
+    largest diagonal entry over all image lattices.  So the engine's
+    representatives, the points of the fundamental boxes [0, d), stay
+    within d_max - 1, and one step along a basis row within 2 d_max - 1.
     """
-    rep_extent = 0
-    diag_extent = 0
-    for block in report.blocks:
-        for alpha, _ in block.representatives:
-            rep_extent = max(rep_extent, max(abs(c) for c in alpha) if alpha else 0)
-        basis = block.image_lattice.basis
-        for row in basis:
-            diag_extent = max(diag_extent, max(abs(c) for c in row))
-    return rep_extent + diag_extent
+    d_max = max(
+        row[k] for block in report.blocks for k, row in enumerate(block.image_lattice.basis)
+    )
+    return 2 * d_max - 1
 
 
 def oracle_check(sys: LiftSystem, cfg: OracleConfig, report: ReidemeisterReport = None) -> bool:

@@ -28,6 +28,7 @@ indices {1..n}:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .intlinalg import (
     Sublattice,
@@ -70,11 +71,19 @@ class ClassBlock:
 
     sigma_class: SigmaClass
     count: object  # int or INFINITE
-    representatives: tuple  # pairs (alpha, i); empty when count is infinite
 
     @property
     def image_lattice(self) -> Sublattice:
         return self.sigma_class.image_lattice
+
+    @cached_property
+    def representatives(self) -> tuple:
+        """Pairs (alpha, i), one per class, listed on first use; empty
+        when the count is infinite."""
+        if is_infinite(self.count):
+            return ()
+        rep = self.sigma_class.representative
+        return tuple((alpha, rep) for alpha in coset_representatives(self.image_lattice))
 
 
 @dataclass(frozen=True)
@@ -83,13 +92,6 @@ class ReidemeisterReport:
     sigma: SigmaClassReport
     blocks: tuple
     total: object  # int or INFINITE
-
-    @property
-    def representatives(self):
-        out = []
-        for block in self.blocks:
-            out.extend(block.representatives)
-        return out
 
 
 def _orbit_transversal(data: PsiData, start: int):
@@ -175,24 +177,12 @@ def reidemeister_number(sys_or_data) -> ReidemeisterReport:
     """Full Reidemeister report of a lift system (or pre-validated PsiData)."""
     data = sys_or_data if isinstance(sys_or_data, PsiData) else sys_or_data.psi
     sigma = sigma_classes(data)
-    blocks = []
-    total = 0
-    for cls in sigma.classes:
-        lat = cls.image_lattice
-        count = lattice_index(lat)
-        if is_infinite(count):
-            reps = ()
-        else:
-            reps = tuple((alpha, cls.representative) for alpha in coset_representatives(lat))
-        blocks.append(
-            ClassBlock(
-                sigma_class=cls,
-                count=count,
-                representatives=reps,
-            )
-        )
-        total = total + count
-    return ReidemeisterReport(psi=data, sigma=sigma, blocks=tuple(blocks), total=total)
+    blocks = tuple(
+        ClassBlock(sigma_class=cls, count=lattice_index(cls.image_lattice))
+        for cls in sigma.classes
+    )
+    total = sum(block.count for block in blocks)
+    return ReidemeisterReport(psi=data, sigma=sigma, blocks=blocks, total=total)
 
 
 def class_label(report: ReidemeisterReport, alpha, i: int):

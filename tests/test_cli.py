@@ -327,6 +327,13 @@ class TestBoundaryErrors:
         path.write_text(json.dumps({"kind": "linear", "n": 1, "A": [[2, 10**18], [0, 2]]}))
         self._one_error(capsys, ["oracle-check", str(path), "--box", "2", "--word", "5"])
 
+    @pytest.mark.parametrize("command", ["analyze", "oracle-check"])
+    def test_huge_finite_r(self, capsys, tmp_path, command):
+        # R = 17999999999999999994 is finite, but far too many classes to list
+        path = tmp_path / "huge.map"
+        path.write_text(json.dumps({"kind": "linear", "n": 1, "A": [[3 * 10**18, 0], [0, 7]]}))
+        self._one_error(capsys, [command, str(path)])
+
     def test_linear_non_integer_matrix_entry(self, capsys):
         code, _ = run_cli(["linear", "--n", "2", "--matrix", "1/2"])
         err = capsys.readouterr().err.splitlines()

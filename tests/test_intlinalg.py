@@ -1,9 +1,8 @@
-"""Exact linear algebra kernel: normal forms, lattices, rational solving."""
+"""Exact linear algebra kernel: Hermite normal form, lattices, rational solving."""
 
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +23,6 @@ from nvalued.intlinalg import (
     left_kernel,
     mat_mul,
     rational_det,
-    smith_normal_form,
 )
 
 small_entries = st.integers(min_value=-9, max_value=9)
@@ -125,67 +123,6 @@ class TestHermite:
             assert lattice_from_generators(vecs, q) == base
 
 
-def snf_by_minor_gcd(mat):
-    """Independent Smith-invariant oracle: d_k = g_k / g_{k-1} with g_k the
-    gcd of all k x k minors (g_0 = 1)."""
-    rows = len(mat)
-    cols = len(mat[0])
-    size = min(rows, cols)
-
-    def minor_det(r_idx, c_idx):
-        sub = [[mat[i][j] for j in c_idx] for i in r_idx]
-        d = int_det(sub)
-        assert d.denominator == 1
-        return int(d)
-
-    factors = []
-    prev = 1
-    for k in range(1, size + 1):
-        g = 0
-        for r_idx in combinations(range(rows), k):
-            for c_idx in combinations(range(cols), k):
-                g = gcd(g, abs(minor_det(r_idx, c_idx)))
-        if g == 0:
-            factors.extend([0] * (size - len(factors)))
-            break
-        factors.append(g // prev)
-        prev = g
-    return factors
-
-
-class TestSmith:
-    def test_identity(self):
-        assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
-
-    def test_diagonal_with_divisibility(self):
-        assert smith_normal_form([[1, 0], [0, 2]]) == [1, 2]
-
-    def test_scalar_matrix(self):
-        # frozen from the minor-gcd oracle: gcd of entries 2, |det| 4
-        assert snf_by_minor_gcd([[2, 0], [0, 2]]) == [2, 2]
-        assert smith_normal_form([[2, 0], [0, 2]]) == [2, 2]
-
-    def test_against_minor_gcd_oracle(self):
-        rng = random.Random(11)
-        for _ in range(120):
-            rows = rng.randint(1, 3)
-            cols = rng.randint(1, 3)
-            m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-            got = smith_normal_form(m)
-            assert got == snf_by_minor_gcd(m), m
-
-    def test_divisibility_chain(self):
-        rng = random.Random(12)
-        for _ in range(80):
-            m = [[rng.randint(-30, 30) for _ in range(3)] for _ in range(3)]
-            d = smith_normal_form(m)
-            for a, b in zip(d, d[1:]):
-                if a != 0:
-                    assert b % a == 0
-                else:
-                    assert b == 0
-
-
 class TestSublattice:
     def test_generators_with_redundancy(self):
         lat = lattice_from_generators([(1, 0), (0, 2), (1, 2)], 2)
@@ -266,7 +203,6 @@ class TestSublattice:
                 ):
                     residues.append(v)
             assert len(residues) == idx
-            assert idx == prod(smith_normal_form([list(r) for r in lat.basis]))
             checked += 1
 
 

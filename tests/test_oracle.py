@@ -20,9 +20,11 @@ from nvalued.oracle import (
     BudgetExceededError,
     OracleConfig,
     _coverage_bound,
+    _find,
     _moves,
     _prune_moves,
     _reduce_box,
+    _union,
     brute_classes,
     brute_fixed_points,
     oracle_check,
@@ -288,6 +290,38 @@ class TestBruteClasses:
             for cls in small:
                 owners = {membership[cell] for cell in cls}
                 assert len(owners) == 1
+
+
+class TestUnion:
+    def test_partition_matches_bfs(self):
+        rng = random.Random(1306)
+        for _ in range(40):
+            size = rng.randint(100, 400)
+            edges = [
+                (rng.randrange(size), rng.randrange(size))
+                for _ in range(rng.randint(0, 3 * size // 2))
+            ]
+            parent = np.arange(size, dtype=np.int64)
+            for start in range(0, len(edges), 97):  # batches, as per move
+                a, b = np.array(edges[start : start + 97], dtype=np.int64).T
+                _union(parent, a, b)
+            neighbours = [[] for _ in range(size)]
+            for a, b in edges:
+                neighbours[a].append(b)
+                neighbours[b].append(a)
+            # BFS from each unvisited cell in increasing order: every cell
+            # is labelled by the smallest cell of its component
+            smallest = [-1] * size
+            for cell in range(size):
+                if smallest[cell] < 0:
+                    smallest[cell] = cell
+                    queue = [cell]
+                    for c in queue:
+                        for d in neighbours[c]:
+                            if smallest[d] < 0:
+                                smallest[d] = cell
+                                queue.append(d)
+            assert _find(parent, np.arange(size)).tolist() == smallest
 
 
 class TestOracleCheck:
