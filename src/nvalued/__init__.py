@@ -44,7 +44,6 @@ from .liftsystems import (
 from .reidemeister import (
     ReidemeisterReport,
     SigmaClassReport,
-    class_label,
     reidemeister_number,
     sigma_classes,
 )

@@ -18,6 +18,9 @@ of the box with its translate is merged by union-find rounds on whole
 arrays (find by pointer jumping, then hook each larger root under the
 smaller), and the check labels every cell of a sheet with one int64 pass
 of the oracle's own coset reduction against the engine's image lattice.
+Moves reach the pruning already ordered by one ``lexsort``.  The fixed
+points of :func:`brute_fixed_points` are the distinct residues of the box
+mod |det(E - M_i)|, grown one axis at a time rather than cell by cell.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ def _moves(data: PsiData, bound: int, limit: int):
     of (gamma, j) is the translation v = gamma - alpha_{sigma(j)} onto
     sheet i = sigma(j).  Identity moves and moves with a coordinate
     beyond ``limit`` are dropped; distinct gammas often give one move.
+    The distinct moves come back ordered by (L1 norm of v, v, j, i).
     Raises :class:`OverflowError` if a translation over the word box
     could leave the int64 range.
     """
@@ -118,7 +122,10 @@ def _moves(data: PsiData, bound: int, limit: int):
     keep = (np.abs(v) <= limit).all(axis=-1) & ((perm != j) | v.any(axis=-1))
     rows = np.concatenate([v[keep], j[keep][:, None] + 1, perm[keep][:, None] + 1], axis=1)
     _, first = np.unique(_row_ids(rows), return_index=True)
-    return [(tuple(r[:q]), r[q], r[q + 1]) for r in rows[first].tolist()]
+    rows = rows[first]
+    # lexsort's last key is the primary one
+    order = np.lexsort((*rows.T[::-1], np.abs(rows[:, :q]).sum(axis=1)))
+    return [(tuple(r[:q]), r[q], r[q + 1]) for r in rows[order].tolist()]
 
 
 def _row_ids(rows):
@@ -148,13 +155,16 @@ def _prune_moves(moves):
     via a within-sheet suffix (u, i, i).  Pruning preserves the
     generated partition exactly; by induction on the L1 norm the dropped
     move's witness pair is itself implied.
+
+    ``moves`` must be distinct and ordered by (L1 norm of v, v, j, i),
+    as :func:`_moves` returns them: the induction needs every witness
+    scanned before the moves it implies.
     """
     scan_cap = 64  # pruning is optional, so capping the witness scan is sound
     move_set = set(moves)
-    ordered = sorted(moves, key=lambda m: (sum(map(abs, m[0])), m))
     kept = []
     kept_within = {}
-    for v, j, i in ordered:
+    for v, j, i in moves:
         implied = False
         for u in kept_within.get(j, ())[:scan_cap]:
             for a, b in zip(u, v):
@@ -197,13 +207,17 @@ def _find(parent, idx):
 def _union(parent, a, b):
     """Merge the class of cell a[k] with the class of b[k], for every k.
 
-    Each round hooks the larger root of every unmerged pair under the
-    smaller one; ``minimum.at`` keeps the smallest bid where several pairs
-    share a root.  Parents only ever point to smaller cells, so each root
-    is its class's smallest cell.
+    Most moves merge nothing, and most of those already have equal
+    parents on every pair, which one compare shows: equal parents are
+    equal roots.  Otherwise each round hooks the larger root of every
+    unmerged pair under the smaller one; ``minimum.at`` keeps the smallest
+    bid where several pairs share a root.  Parents only ever point to
+    smaller cells, so each root is its class's smallest cell.
     """
     import numpy as np
 
+    if (parent[a] == parent[b]).all():
+        return
     while True:
         ra, rb = _find(parent, a), _find(parent, b)
         differ = ra != rb
@@ -345,9 +359,12 @@ def brute_fixed_points(sys: LiftSystem, box_bound: int):
     alpha in [-B, B]^q, reduces mod 1, and deduplicates.  Raises
     :class:`SingularLinearPartError` if any factor is degenerate.
 
-    The box is walked incrementally: stepping alpha by a unit vector adds
-    one precomputed adjugate column, so each cell costs q additions rather
-    than a fresh solve.
+    With m = |det(E - M_i)|, the residues m t mod m over the box are
+    base + sum_d k_d col_d for k in [0, 2B]^q, one integer column per
+    unit step of alpha.  That set is grown one axis at a time, stepping
+    each distinct residue 2B times along the axis, so the work scales
+    with the distinct residues, never beyond the (2B+1)^q box cells;
+    ``Fraction``s are built only for the final distinct points.
     """
     q = sys.q
     points = set()
@@ -362,25 +379,17 @@ def brute_fixed_points(sys: LiftSystem, box_bound: int):
         # denominator m = |det|, so points are int tuples until the end
         sign, m = (det > 0) - (det < 0), abs(det)
         corner = [offset[r] - scales[r] * box_bound for r in range(q)]
-        base0 = tuple(
-            (sign * sum(x * y for x, y in zip(row, corner))) % m for row in adj
-        )
-        cols = [
-            tuple(sign * adj[r][d] * scales[d] % m for r in range(q)) for d in range(q)
-        ]
-        local = set()
-
-        def walk(d, base):
-            if d == q:
-                local.add(base)
-                return
-            current = base
-            col = cols[d]
-            for step in range(2 * box_bound + 1):
-                walk(d + 1, current)
-                if step < 2 * box_bound:
+        residues = {
+            tuple((sign * sum(x * y for x, y in zip(row, corner))) % m for row in adj)
+        }
+        for d in range(q):
+            col = [sign * adj[r][d] * scales[d] % m for r in range(q)]
+            grown = set()
+            for current in residues:
+                grown.add(current)
+                for _ in range(2 * box_bound):
                     current = tuple((x + y) % m for x, y in zip(current, col))
-
-        walk(0, base0)
-        points.update(tuple(Fraction(x, m) for x in scaled) for scaled in local)
+                    grown.add(current)
+            residues = grown
+        points.update(tuple(Fraction(x, m) for x in scaled) for scaled in residues)
     return sorted(points)

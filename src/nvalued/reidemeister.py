@@ -32,7 +32,6 @@ from functools import cached_property
 
 from .intlinalg import (
     Sublattice,
-    coset_reduce,
     coset_representatives,
     is_infinite,
     lattice_from_generators,
@@ -184,21 +183,3 @@ def reidemeister_number(sys_or_data) -> ReidemeisterReport:
     total = sum(block.count for block in blocks)
     return ReidemeisterReport(psi=data, sigma=sigma, blocks=blocks, total=total)
 
-
-def class_label(report: ReidemeisterReport, alpha, i: int):
-    """Canonical label of the lift-factor (alpha, i).
-
-    Transports (alpha, i) to the representative r of its sigma-class using
-    the recorded transversal (gamma = -t with sigma_t(r) = i turns (alpha, i)
-    into (alpha - t + a(t)_i, r), a(t)_i being the stored label), then
-    reduces modulo the image lattice.  Two lift-factors are equivalent iff
-    their labels are equal.
-    """
-    for block in report.blocks:
-        cls = block.sigma_class
-        if i in cls.members:
-            pos = cls.members.index(i)
-            t = cls.transversal[pos][1]
-            moved = vec_add(vec_sub(tuple(alpha), t), cls.labels[pos])
-            return (coset_reduce(block.image_lattice, moved), cls.representative)
-    raise ValueError(f"index {i} out of range")

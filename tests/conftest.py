@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nvalued.intlinalg import coset_reduce, vec_add, vec_sub
 from nvalued.liftsystems import lift_system, make_circle, make_linear, make_split
 from nvalued.semidirect import Permutation
 
@@ -102,6 +103,25 @@ def random_system(rng: random.Random):
         return make_split(random_split_system(rng))
     n, rows, _ = random_linear_system(rng, nonzero_nielsen=False)
     return make_linear(n, rows)
+
+
+def class_label(report, alpha, i: int):
+    """Canonical label of the lift-factor (alpha, i) under ``report``.
+
+    Transports (alpha, i) to the representative r of its sigma-class using
+    the recorded transversal (gamma = -t with sigma_t(r) = i turns (alpha, i)
+    into (alpha - t + a(t)_i, r), a(t)_i being the stored label), then
+    reduces modulo the image lattice.  Two lift-factors are equivalent iff
+    their labels are equal.
+    """
+    for block in report.blocks:
+        cls = block.sigma_class
+        if i in cls.members:
+            pos = cls.members.index(i)
+            t = cls.transversal[pos][1]
+            moved = vec_add(vec_sub(tuple(alpha), t), cls.labels[pos])
+            return (coset_reduce(block.image_lattice, moved), cls.representative)
+    raise ValueError(f"index {i} out of range")
 
 
 def closure(generators, n: int):

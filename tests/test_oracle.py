@@ -4,13 +4,15 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
 
-from nvalued.fixedpoints import fixed_point_classes
+from nvalued.fixedpoints import SingularLinearPartError, fixed_point_classes
 from nvalued.intlinalg import (
     Sublattice,
+    adjugate,
     coset_reduce,
     is_infinite,
     lattice_from_generators,
@@ -158,6 +160,12 @@ def reference_moves(data, bound, limit):
     return moves
 
 
+def by_l1(moves):
+    """``moves`` ordered by (L1 norm of v, v, j, i), the order
+    :func:`_prune_moves` requires and :func:`_moves` returns."""
+    return sorted(moves, key=lambda m: (sum(map(abs, m[0])), m))
+
+
 def reference_prune(moves):
     """The move pruning with a separate sign-compatibility predicate."""
 
@@ -166,7 +174,7 @@ def reference_prune(moves):
 
     scan_cap = 64
     move_set = set(moves)
-    ordered = sorted(moves, key=lambda m: (sum(map(abs, m[0])), m))
+    ordered = by_l1(moves)
     kept = []
     kept_within = {}
     for v, j, i in ordered:
@@ -226,6 +234,53 @@ def reference_oracle_check(sys, cfg, report):
         if len(classes) != report.total:
             return False
     return True
+
+
+def residue_steps(factor, box_bound):
+    """``(m, base, cols)`` of one factor, m = |det(E - M)|: the fixed
+    points m t mod m over the box are base + sum_d k_d cols[d] mod m
+    for k in [0, 2B]^q."""
+    q = factor.q
+    mat, offset, scales = factor.fixed_point_system()
+    det, adj = adjugate(mat)
+    if det == 0:
+        raise SingularLinearPartError("degenerate factor")
+    sign, m = (det > 0) - (det < 0), abs(det)
+    corner = [offset[r] - scales[r] * box_bound for r in range(q)]
+    base = tuple((sign * sum(x * y for x, y in zip(row, corner))) % m for row in adj)
+    cols = [tuple(sign * adj[r][d] * scales[d] % m for r in range(q)) for d in range(q)]
+    return m, base, cols
+
+
+def walk_truncates(sys, box_bound):
+    """Whether some column's order mod m exceeds the 2B + 1 steps of the
+    box, so that the output depends on where the walk stops."""
+    steps = [residue_steps(factor, box_bound) for factor in sys.factors]
+    return any(m // gcd(m, *col) > 2 * box_bound + 1 for m, _, cols in steps for col in cols)
+
+
+def reference_fixed_points(sys, box_bound):
+    """Fixed points by walking every cell of the box [-B, B]^q: one
+    recursive step per cell, adding one adjugate column mod |det|."""
+    q = sys.q
+    points = set()
+    for factor in sys.factors:
+        m, base0, cols = residue_steps(factor, box_bound)
+        local = set()
+
+        def walk(d, base):
+            if d == q:
+                local.add(base)
+                return
+            current = base
+            for step in range(2 * box_bound + 1):
+                walk(d + 1, current)
+                if step < 2 * box_bound:
+                    current = tuple((x + y) % m for x, y in zip(current, cols[d]))
+
+        walk(0, base0)
+        points.update(tuple(Fraction(x, m) for x in scaled) for scaled in local)
+    return sorted(points)
 
 
 def with_lattice(report, index, lattice):
@@ -382,14 +437,27 @@ class TestBruteFixedPoints:
             if is_infinite(report.total):
                 continue
             classes = fixed_point_classes(sys, report)
-            if any(c.point is None for c in classes):
-                continue
             engine_points = sorted(c.point for c in classes)
             assert brute_fixed_points(sys, 6) == engine_points
 
     def test_invariant_beyond_threshold(self):
         sys = torus3_system()
         assert brute_fixed_points(sys, 3) == brute_fixed_points(sys, 5)
+
+    def test_matches_box_walk(self):
+        rng = random.Random(1307)
+        truncating = 0
+        while truncating < 200:
+            sys = random_system(rng)
+            bound = rng.randint(1, 3)
+            try:
+                expected = reference_fixed_points(sys, bound)
+            except SingularLinearPartError:
+                with pytest.raises(SingularLinearPartError):
+                    brute_fixed_points(sys, bound)
+                continue
+            assert brute_fixed_points(sys, bound) == expected, (sys, bound)
+            truncating += walk_truncates(sys, bound)
 
 
 class TestStructuralInvariants:
@@ -433,6 +501,16 @@ class TestArraySweep:
             assert len(moves) == len(set(moves))
             assert set(moves) == reference_moves(data, word, limit), (draw, word, limit)
 
+    def test_moves_come_distinct_and_ordered(self):
+        rng = random.Random(1308)
+        limits = (1, 3, 6, 12)
+        for draw in range(300):
+            data = validate(random_system(rng))
+            word = 1 + draw % 6
+            limit = limits[draw % len(limits)]
+            moves = _moves(data, word, limit)
+            assert moves == by_l1(set(moves)), (draw, word, limit)
+
     def test_int64_range(self):
         data = validate(make_linear(1, [[2, 10**18], [0, 2]]))
         assert set(_moves(data, 2, 4)) == reference_moves(data, 2, 4)
@@ -444,7 +522,7 @@ class TestArraySweep:
         for draw in range(300):
             data = validate(random_system(rng))
             word = 1 + draw % 6
-            moves = reference_moves(data, word, 2 * word)
+            moves = by_l1(reference_moves(data, word, 2 * word))
             assert _prune_moves(moves) == reference_prune(moves), draw
 
 

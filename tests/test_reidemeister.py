@@ -15,9 +15,9 @@ from nvalued.liftsystems import (
     validate,
 )
 from nvalued import reidemeister
-from nvalued.reidemeister import class_label, reidemeister_number, sigma_classes
+from nvalued.reidemeister import reidemeister_number, sigma_classes
 
-from conftest import closure, random_system, torus3_system
+from conftest import class_label, closure, random_system, torus3_system
 
 
 @pytest.fixture(scope="module")
