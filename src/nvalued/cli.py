@@ -22,8 +22,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
-from .fixedpoints import fixed_point_classes, nielsen_report
+from .fixedpoints import nielsen_report
 from .intlinalg import is_infinite
 from .liftsystems import (
     LiftSystem,
@@ -59,10 +60,6 @@ class DocumentError(ValueError):
 # serialization helpers
 
 
-def _frac_str(x) -> str:
-    return str(Fraction(x))
-
-
 def _count_json(value):
     return "infinite" if is_infinite(value) else value
 
@@ -71,8 +68,10 @@ def _vec_json(vec):
     return [int(x) for x in vec]
 
 
-def _point_json(point):
-    return [_frac_str(x) for x in point]
+def _residue_str(r, m) -> str:
+    """``str(Fraction(r, m))`` for integers 0 <= r < m, with one gcd."""
+    g = gcd(r, m)
+    return str(r // g) if g == m else f"{r // g}/{m // g}"
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +252,16 @@ def build_report(kind, sys: LiftSystem, oracle_section=None, report=None):
             "transversal": [[j, _vec_json(z)] for j, z in cls.transversal],
             "image_lattice_basis": [_vec_json(r) for r in block.image_lattice.basis],
             "count": _count_json(block.count),
-            "representatives": [_vec_json(alpha) for alpha, _ in block.representatives],
+            "representatives": [alpha for alpha, _ in block.representatives],
         }
         doc["sigma_classes"].append(entry)
     if not is_infinite(report.total):
-        nreport = nielsen_report(sys, report, fixed_point_classes(sys, report))
+        nreport = nielsen_report(sys, report)
         doc["fixed_point_classes"] = [
             {
-                "alpha": _vec_json(c.alpha),
+                "alpha": c.alpha,
                 "factor": c.factor_index,
-                "point": _point_json(c.point),
+                "point": [_residue_str(r, c.denominator) for r in c.residues],
                 "index": c.index,
                 "empty": False,
             }

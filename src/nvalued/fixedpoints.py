@@ -9,21 +9,33 @@ exactly and reducing mod 1 gives the class's torus point.  At a
 nondegenerate fixed point of an affine map the index is the local degree
 sign det(E - M_i).
 
+Points are integer residues until they are emitted.  With the rows of
+the system scaled to integers, one adjugate per sigma-class solves it
+for every alpha: each point is a vector of residues in [0, m) over
+m = |det|, which is |det(E - M_i)| times the row scales.  The points are
+listed in the order of the coset representatives and checked distinct
+as residues; a report reduces them to lowest terms only when it writes
+them out, and ``FixedPointClass.point`` gives them as ``Fraction``s.
+
 Equivariance gives phi_r(s) = M_r s on the stabilizer S_r of a
 sigma-class representative r, so the image lattice is (E - M_r) S_r and
 R(f) is finite exactly when det(E - M_r) != 0 at every representative.
 Every class of a finite R(f) is therefore a single point of index +-1,
-and N(f) = R(f).  The indices are uniform within each sigma-class:
-:func:`nielsen_report` reads sign det(E - M_j) from every member j's own
-linear part and compares it with its representative's.
+and N(f) = R(f), the sum of the block counts: :func:`nielsen_report`
+counts without listing.  It checks each count against the same
+determinant, [Z^q : L_r] = |class| |det(E - M_r)| by orbit-stabilizer,
+and reads sign det(E - M_j) from every member j's own linear part to
+compare it with its representative's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm, prod
 
-from .intlinalg import adjugate, is_infinite, rational_det
+from .intlinalg import adjugate, hnf_diagonal, is_infinite, rational_det
 from .liftsystems import LiftSystem, require_congruent_rows
 from .reidemeister import ReidemeisterReport, SigmaClassReport, reidemeister_number
 
@@ -44,25 +56,38 @@ class NonIntegralResultError(ArithmeticError):
 class FixedPointClass:
     """One fixed point class, labelled by its class representative.
 
-    ``point`` is the class's single torus point in [0,1)^q, a tuple of
-    Fractions, and ``index`` is its fixed point index sign det(E - M_i),
-    +-1.
+    The class's single torus point in [0,1)^q is ``residues`` over
+    ``denominator``: integers in [0, denominator), not reduced.
+    ``point`` gives it as a tuple of Fractions, and ``index`` is its
+    fixed point index sign det(E - M_i), +-1.
     """
 
     alpha: tuple
     factor_index: int
-    point: tuple
+    residues: tuple
+    denominator: int
     index: int
+
+    @property
+    def point(self) -> tuple:
+        return tuple(Fraction(r, self.denominator) for r in self.residues)
 
 
 @dataclass(frozen=True)
 class NielsenReport:
-    classes: tuple
     nielsen: int
     reidemeister: object
     uniformity_per_sigma_class: bool
     reid_report: ReidemeisterReport
     factor_signs: tuple  # sign det(E - M_j) for factor j = 1..n
+    # per block: (sign, m, base, cols), so that class alpha's residues over
+    # m are (base + sum_k alpha_k cols[k]) mod m
+    solutions: tuple = field(repr=False)
+
+    @cached_property
+    def classes(self) -> tuple:
+        """The fixed point classes, listed on first use."""
+        return _list_classes(self.reid_report, self.solutions)
 
 
 def fixed_point_classes(sys: LiftSystem, report: ReidemeisterReport = None):
@@ -75,35 +100,37 @@ def fixed_point_classes(sys: LiftSystem, report: ReidemeisterReport = None):
         report = reidemeister_number(sys)
     if is_infinite(report.total):
         raise InfiniteClassesError("R(f) is infinite: no finite class enumeration")
-    return _classes_from_report(sys, report)
+    return nielsen_report(sys, report).classes
 
 
-def _classes_from_report(sys: LiftSystem, report: ReidemeisterReport):
-    q = sys.q
+def _list_classes(report: ReidemeisterReport, solutions) -> tuple:
+    common = lcm(*(m for _, m, _, _ in solutions))
+    seen = set()
     classes = []
-    seen_points = set()
-    for block in report.blocks:
+    for block, (sign, m, base, cols) in zip(report.blocks, solutions):
+        # residues coordinate by coordinate, grown one axis at a time in the
+        # lex order of the coset representatives: axis k steps each point
+        # d_k times along its column
+        coords = [[x] for x in base]
+        for d, col in zip(hnf_diagonal(block.image_lattice), cols):
+            coords = [[(x + t * c) % m for x in xs for t in range(d)]
+                      for xs, c in zip(coords, col)]
+        points = list(zip(*coords))
+        # distinct across sigma-classes too: compare over the common denominator
+        scale = common // m
+        size = len(seen)
+        seen.update(points if scale == 1 else zip(*([x * scale for x in xs] for xs in coords)))
+        if len(seen) != size + len(points):
+            raise AssertionError(
+                f"distinct classes of sigma-class {block.sigma_class.members} "
+                "share a torus point"
+            )
         i = block.sigma_class.representative
-        mat, offset, scales = sys.factors[i - 1].fixed_point_system()
-        # one determinant and adjugate per sigma-class: every point is then
-        # t = adj (offset + scales * alpha) / det, reduced mod 1
-        det, adj = adjugate(mat)
-        if det == 0:
-            raise AssertionError(f"R is finite but det(E - M_{i}) = 0")
-        sign, m = (det > 0) - (det < 0), abs(det)
-        for alpha, _ in block.representatives:
-            rhs = [offset[r] + scales[r] * alpha[r] for r in range(q)]
-            point = tuple(
-                Fraction((sign * sum(x * y for x, y in zip(row, rhs))) % m, m)
-                for row in adj
-            )
-            if point in seen_points:
-                raise AssertionError(f"distinct classes share the torus point {point}")
-            seen_points.add(point)
-            classes.append(
-                FixedPointClass(alpha=alpha, factor_index=i, point=point, index=sign)
-            )
-    return classes
+        classes.extend(
+            FixedPointClass(alpha, i, residues, m, sign)
+            for (alpha, _), residues in zip(block.representatives, points, strict=True)
+        )
+    return tuple(classes)
 
 
 def nielsen_number(sys: LiftSystem) -> NielsenReport:
@@ -115,25 +142,41 @@ def nielsen_number(sys: LiftSystem) -> NielsenReport:
     report = reidemeister_number(sys)
     if is_infinite(report.total):
         raise InfiniteClassesError("R(f) is infinite: the Nielsen count needs R finite")
-    return nielsen_report(sys, report, _classes_from_report(sys, report))
+    return nielsen_report(sys, report)
 
 
-def nielsen_report(sys: LiftSystem, report: ReidemeisterReport, classes) -> NielsenReport:
-    """The Nielsen report from the fixed point classes already listed for
-    ``report``; raises as :func:`nielsen_number` does."""
-    # a member with its representative's linear part shares its sign, the
-    # index of the representative's classes; any other linear part gets one
-    # determinant of its own.  Members are compared, not hashed: Fraction
-    # hashes are not cached.
-    rep_signs = {c.factor_index: c.index for c in classes}
+def nielsen_report(sys: LiftSystem, report: ReidemeisterReport) -> NielsenReport:
+    """The Nielsen report of a finite ``report``, counted without listing
+    the classes; raises as :func:`nielsen_number` does."""
+    solutions = []
     other_signs = {}
     factor_signs = [0] * sys.n
-    for cls in report.sigma.classes:
-        rep = sys.factors[cls.representative - 1].linear
+    for block in report.blocks:
+        cls = block.sigma_class
+        factor = sys.factors[cls.representative - 1]
+        mat, offset, scales = factor.fixed_point_system()
+        det, adj = adjugate(mat)
+        if det == 0:
+            raise AssertionError(f"R is finite but det(E - M_{cls.representative}) = 0")
+        sign, m = (det > 0) - (det < 0), abs(det)
+        # [Z^q : L_r] = |class| |det(E - M_r)|, and m is |det(E - M_r)|
+        # times the row scales
+        if block.count * prod(scales) != len(cls.members) * m:
+            raise AssertionError(
+                f"sigma-class {cls.members} has {block.count} classes, but "
+                f"|class| |det(E - M_r)| = {len(cls.members) * m} / {prod(scales)}"
+            )
+        # t = adj (offset + scales * alpha) / det mod 1, as residues over m
+        base = tuple(sign * sum(x * y for x, y in zip(row, offset)) % m for row in adj)
+        cols = tuple(tuple(sign * s * row[k] % m for row in adj) for k, s in enumerate(scales))
+        solutions.append((sign, m, base, cols))
+        # a member with its representative's linear part shares its sign;
+        # any other linear part gets one determinant of its own.  Members
+        # are compared, not hashed: Fraction hashes are not cached.
         for j in cls.members:
             linear = sys.factors[j - 1].linear
-            if linear == rep:
-                factor_signs[j - 1] = rep_signs[cls.representative]
+            if linear == factor.linear:
+                factor_signs[j - 1] = sign
                 continue
             if linear not in other_signs:
                 det = rational_det(
@@ -143,12 +186,12 @@ def nielsen_report(sys: LiftSystem, report: ReidemeisterReport, classes) -> Niel
                 other_signs[linear] = (det > 0) - (det < 0)
             factor_signs[j - 1] = other_signs[linear]
     nreport = NielsenReport(
-        classes=tuple(classes),
-        nielsen=len(classes),
+        nielsen=sum(block.count for block in report.blocks),
         reidemeister=report.total,
         uniformity_per_sigma_class=True,
         reid_report=report,
         factor_signs=tuple(factor_signs),
+        solutions=tuple(solutions),
     )
     if not index_uniformity(nreport, report.sigma):
         raise AssertionError(

@@ -213,7 +213,7 @@ def lattice_index(lat: Sublattice):
     """Group index [Z^q : L]; INFINITE when the rank is deficient."""
     if lat.rank < lat.ambient_dim:
         return INFINITE
-    return prod(_hnf_diagonal(lat))
+    return prod(hnf_diagonal(lat))
 
 
 def lattice_contains(lat: Sublattice, v) -> bool:
@@ -232,7 +232,8 @@ def lattice_contains(lat: Sublattice, v) -> bool:
     return all(x == 0 for x in w)
 
 
-def _hnf_diagonal(lat: Sublattice):
+def hnf_diagonal(lat: Sublattice):
+    """The diagonal (d_1, ..., d_q) of a full-rank lattice's HNF basis."""
     if lat.rank < lat.ambient_dim:
         raise InfiniteIndexError(f"lattice has rank {lat.rank} < {lat.ambient_dim}")
     # full-rank row HNF of a square basis is upper triangular
@@ -242,7 +243,7 @@ def _hnf_diagonal(lat: Sublattice):
 def coset_representatives(lat: Sublattice):
     """All cosets of Z^q / L, as the lex-ordered integer points of the
     fundamental box [0, d_1) x ... x [0, d_q) of the HNF diagonal."""
-    diag = _hnf_diagonal(lat)
+    diag = hnf_diagonal(lat)
     return [tuple(p) for p in product(*(range(d) for d in diag))]
 
 

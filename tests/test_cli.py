@@ -262,6 +262,14 @@ class TestGoldenFiles:
         "circle_2_1.json": ["circle", "--n", "2", "--d", "1", "--format", "structured"],
         "circle_3_3.json": ["circle", "--n", "3", "--d", "3", "--format", "structured"],
         "split_2.json": ["split", "--parts", "2 | 0; 2 | 1/2", "--format", "structured"],
+        # R = 403 in one sigma-class, and R = 300 over two sigma-classes whose
+        # HNF diagonal (10, 15) steps both axes: these pin the listing order
+        # and the lowest-terms formatting over denominators up to 403
+        "circle_3_m400.json": ["circle", "--n", "3", "--d", "-400", "--format", "structured"],
+        "circle_3_m400.txt": ["circle", "--n", "3", "--d", "-400"],
+        "linear_2_r300.json": ["linear", "--n", "2", "--matrix=-18 -20; -8 24",
+                               "--format", "structured"],
+        "linear_2_r300.txt": ["linear", "--n", "2", "--matrix=-18 -20; -8 24"],
     }
 
     def test_frozen_outputs(self):
@@ -372,6 +380,32 @@ class TestSinglePass:
             code, _ = run_cli(argv)
             assert code == 0
             assert len(calls) == 1, argv
+
+    def test_one_adjugate_per_sigma_class(self, monkeypatch, torus3_path):
+        from nvalued import intlinalg
+
+        calls = count_calls(monkeypatch, intlinalg.adjugate)
+        # torus3 has two sigma-classes and six fixed point classes
+        code, _ = run_cli(["analyze", torus3_path])
+        assert code == 0
+        assert len(calls) == 2
+
+    def test_analyze_imports_no_numpy(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).parents[1] / "src"
+        script = (
+            "import io, sys\n"
+            "from nvalued.cli import main\n"
+            "assert main(['circle', '--n', '3', '--d', '-400'], out=io.StringIO()) == 0\n"
+            "sys.exit('numpy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
+        assert result.returncode == 0
 
     def test_one_validation_per_command(self, monkeypatch, tmp_path, torus3_path):
         from nvalued import liftsystems

@@ -16,7 +16,13 @@ from nvalued.fixedpoints import (
     nielsen_number,
     nielsen_report,
 )
-from nvalued.intlinalg import is_infinite, rational_det
+from nvalued.intlinalg import (
+    Sublattice,
+    adjugate,
+    is_infinite,
+    lattice_index,
+    rational_det,
+)
 from nvalued.liftsystems import (
     RowsNotCongruentError,
     lift_system,
@@ -24,7 +30,7 @@ from nvalued.liftsystems import (
     make_linear,
     make_split,
 )
-from nvalued.reidemeister import reidemeister_number
+from nvalued.reidemeister import ClassBlock, reidemeister_number
 
 from conftest import random_linear_system, random_system, torus3_system
 from test_acceptance import collected_instances
@@ -119,7 +125,7 @@ class TestDegenerate:
             assert is_infinite(report.total) == (0 in dets)
             if not is_infinite(report.total):
                 classes = fixed_point_classes(sys, report)
-                assert nielsen_report(sys, report, classes).nielsen == report.total
+                assert len(classes) == nielsen_report(sys, report).nielsen == report.total
 
     def test_brute_scan_rejects_singular_factor(self):
         from nvalued.oracle import brute_fixed_points
@@ -186,13 +192,12 @@ class TestIndexStructure:
         good = make_circle(2, 1)
         report = reidemeister_number(good)
         assert [c.members for c in report.sigma.classes] == [(1, 2)]
-        classes = fixed_point_classes(good, report)
         planted = lift_system(
             [([[Fraction(1, 2)]], [0]), ([[Fraction(3, 2)]], [Fraction(1, 2)])]
         )
         with pytest.raises(AssertionError, match="index uniformity"):
-            nielsen_report(planted, report, classes)
-        nr = nielsen_report(good, report, classes)
+            nielsen_report(planted, report)
+        nr = nielsen_report(good, report)
         assert nr.factor_signs == (1, 1)
         assert index_uniformity(nr, report.sigma) is True
         # the planted system's signs: 1 - 1/2 > 0 and 1 - 3/2 < 0
@@ -232,3 +237,109 @@ class TestIndexStructure:
                 continue
             nr = nielsen_number(sys)
             assert nr.nielsen <= nr.reidemeister
+
+
+class TestResidues:
+    """Points are residues over |det| grown one axis at a time; they must
+    equal the per-class solve t = adj (offset + scales alpha) / det mod 1,
+    in the order of the coset representatives."""
+
+    @staticmethod
+    def per_class_points(sys, report):
+        points = []
+        for block in report.blocks:
+            i = block.sigma_class.representative
+            mat, offset, scales = sys.factors[i - 1].fixed_point_system()
+            det, adj = adjugate(mat)
+            sign, m = (det > 0) - (det < 0), abs(det)
+            for alpha, _ in block.representatives:
+                rhs = [c + s * a for c, s, a in zip(offset, scales, alpha)]
+                points.append(tuple(
+                    Fraction((sign * sum(x * y for x, y in zip(row, rhs))) % m, m)
+                    for row in adj
+                ))
+        return points
+
+    def test_points_match_per_class_solve(self):
+        rng = random.Random(0x2E5)
+        cases = [(sys, report) for _, sys, report, _ in collected_instances()]
+        for _ in range(300):
+            sys = random_system(rng)
+            cases.append((sys, reidemeister_number(sys)))
+        for sys, report in cases:
+            if is_infinite(report.total):
+                continue
+            classes = fixed_point_classes(sys, report)
+            assert [c.point for c in classes] == self.per_class_points(sys, report)
+            assert [(c.alpha, c.factor_index) for c in classes] == [
+                pair for block in report.blocks for pair in block.representatives
+            ]
+            assert all(0 <= r < c.denominator for c in classes for r in c.residues)
+
+    def test_residue_str_matches_fraction_str(self):
+        from nvalued.cli import _residue_str
+
+        for m in range(1, 301):
+            for r in range(m):
+                assert _residue_str(r, m) == str(Fraction(r, m))
+        for m in (10**18 + 9, 2**61 - 1, 3 * 10**18, 17999999999999999994):
+            for r in (0, 1, 2, 6, m // 3, m // 2, m - 1):
+                assert _residue_str(r, m) == str(Fraction(r, m))
+
+
+class TestCountWithoutListing:
+    def test_nielsen_lists_no_class(self, monkeypatch):
+        def refuse(block):
+            raise AssertionError("a class was listed")
+
+        monkeypatch.setattr(ClassBlock, "representatives", property(refuse))
+        nr = nielsen_number(make_circle(1, -10**5))
+        assert nr.nielsen == 100001
+        with pytest.raises(AssertionError, match="a class was listed"):
+            nr.classes
+        huge = nielsen_number(make_linear(1, [[3 * 10**18, 0], [0, 7]]))
+        assert huge.nielsen == huge.reidemeister == 17999999999999999994
+        assert huge.factor_signs == (1,)  # det(E - A) = (1 - 3 10^18)(1 - 7) > 0
+
+    def test_classes_listed_on_read(self):
+        nr = nielsen_number(torus3_system())
+        assert "classes" not in vars(nr)
+        assert len(nr.classes) == nr.nielsen == 6
+        assert nr.classes is nr.classes
+
+
+class TestDeterminantCrossCheck:
+    """nielsen_report checks [Z^q : L_r] = |class| |det(E - M_r)| per block."""
+
+    SYSTEMS = (
+        torus3_system,
+        lambda: make_circle(4, -3),
+        lambda: make_linear(2, [[-18, -20], [-8, 24]]),
+    )
+
+    @staticmethod
+    def planted_reports(report):
+        """One report per block and fault: the block's image lattice scaled
+        by 2 (its count and R follow it), or its count off by one."""
+        for b, block in enumerate(report.blocks):
+            lat = block.image_lattice
+            doubled = tuple(tuple(2 * x for x in row) for row in lat.basis)
+            scaled = Sublattice(lat.ambient_dim, doubled)
+            cls = dataclasses.replace(block.sigma_class, image_lattice=scaled)
+            for planted in (ClassBlock(cls, lattice_index(scaled)),
+                            ClassBlock(block.sigma_class, block.count + 1)):
+                blocks = report.blocks[:b] + (planted,) + report.blocks[b + 1:]
+                yield dataclasses.replace(
+                    report, blocks=blocks, total=sum(x.count for x in blocks)
+                )
+
+    def test_planted_faults_raise(self):
+        for make in self.SYSTEMS:
+            sys = make()
+            report = reidemeister_number(sys)
+            assert nielsen_report(sys, report).nielsen == report.total
+            planted = list(self.planted_reports(report))
+            assert len(planted) == 2 * len(report.blocks)
+            for bad in planted:
+                with pytest.raises(AssertionError, match="classes, but"):
+                    nielsen_report(sys, bad)
