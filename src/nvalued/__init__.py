@@ -53,6 +53,7 @@ from .fixedpoints import (
     NielsenReport,
     NonIntegralResultError,
     SingularLinearPartError,
+    TooManyClassesError,
     fixed_point_classes,
     index_uniformity,
     nielsen_linear_formula,

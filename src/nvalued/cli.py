@@ -48,8 +48,6 @@ from .reidemeister import reidemeister_number
 
 USAGE_ERROR = 2
 MODEL_ERROR = 1
-# reports list every class; a finite R above this is refused, not listed
-LISTING_LIMIT = 10**6
 
 
 class DocumentError(ValueError):
@@ -232,10 +230,12 @@ def build_report(kind, sys: LiftSystem, oracle_section=None, report=None):
     """
     if report is None:
         report = reidemeister_number(sys)
-    if not is_infinite(report.total) and report.total > LISTING_LIMIT:
-        raise ValueError(
-            f"R = {report.total} classes is too many to list (limit {LISTING_LIMIT})"
-        )
+    nreport = None
+    if not is_infinite(report.total):
+        # listed first: a finite R above LISTING_LIMIT is refused before
+        # any representative is listed
+        nreport = nielsen_report(sys, report)
+        classes = nreport.classes
     doc = {
         "kind": kind,
         "n": sys.n,
@@ -255,8 +255,7 @@ def build_report(kind, sys: LiftSystem, oracle_section=None, report=None):
             "representatives": [alpha for alpha, _ in block.representatives],
         }
         doc["sigma_classes"].append(entry)
-    if not is_infinite(report.total):
-        nreport = nielsen_report(sys, report)
+    if nreport is not None:
         doc["fixed_point_classes"] = [
             {
                 "alpha": c.alpha,
@@ -265,7 +264,7 @@ def build_report(kind, sys: LiftSystem, oracle_section=None, report=None):
                 "index": c.index,
                 "empty": False,
             }
-            for c in nreport.classes
+            for c in classes
         ]
         doc["nielsen"] = nreport.nielsen
         doc["index_uniformity"] = nreport.uniformity_per_sigma_class

@@ -7,25 +7,19 @@ point class p Fix(alpha + f_i): solving
 
 exactly and reducing mod 1 gives the class's torus point.  At a
 nondegenerate fixed point of an affine map the index is the local degree
-sign det(E - M_i).
-
-Points are integer residues until they are emitted.  With the rows of
-the system scaled to integers, one adjugate per sigma-class solves it
-for every alpha: each point is a vector of residues in [0, m) over
-m = |det|, which is |det(E - M_i)| times the row scales.  The points are
-listed in the order of the coset representatives and checked distinct
-as residues; a report reduces them to lowest terms only when it writes
-them out, and ``FixedPointClass.point`` gives them as ``Fraction``s.
+sign det(E - M_i).  One adjugate per sigma-class solves the system for
+every alpha, so a point is kept as integer residues over |det(E - M_i)|
+(times the row scales of the integer system) and reduced to lowest terms
+only when it is written out.
 
 Equivariance gives phi_r(s) = M_r s on the stabilizer S_r of a
 sigma-class representative r, so the image lattice is (E - M_r) S_r and
 R(f) is finite exactly when det(E - M_r) != 0 at every representative.
 Every class of a finite R(f) is therefore a single point of index +-1,
 and N(f) = R(f), the sum of the block counts: :func:`nielsen_report`
-counts without listing.  It checks each count against the same
-determinant, [Z^q : L_r] = |class| |det(E - M_r)| by orbit-stabilizer,
-and reads sign det(E - M_j) from every member j's own linear part to
-compare it with its representative's.
+counts without listing.  It checks each count against the determinant,
+[Z^q : L_r] = |class| |det(E - M_r)|, and compares sign det(E - M_j) of
+every member j with its representative's.
 """
 
 from __future__ import annotations
@@ -39,9 +33,16 @@ from .intlinalg import adjugate, hnf_diagonal, is_infinite, rational_det
 from .liftsystems import LiftSystem, require_congruent_rows
 from .reidemeister import ReidemeisterReport, SigmaClassReport, reidemeister_number
 
+# a finite R above this is refused, not listed
+LISTING_LIMIT = 10**6
+
 
 class InfiniteClassesError(ValueError):
     """Fixed point classes were requested but R(f) is infinite."""
+
+
+class TooManyClassesError(ValueError):
+    """Fixed point classes were requested but R(f) is above LISTING_LIMIT."""
 
 
 class SingularLinearPartError(ValueError):
@@ -57,9 +58,9 @@ class FixedPointClass:
     """One fixed point class, labelled by its class representative.
 
     The class's single torus point in [0,1)^q is ``residues`` over
-    ``denominator``: integers in [0, denominator), not reduced.
-    ``point`` gives it as a tuple of Fractions, and ``index`` is its
-    fixed point index sign det(E - M_i), +-1.
+    ``denominator``, integers in [0, denominator) not reduced; ``point``
+    gives it as Fractions.  ``index`` is its fixed point index
+    sign det(E - M_i), +-1.
     """
 
     alpha: tuple
@@ -80,56 +81,57 @@ class NielsenReport:
     uniformity_per_sigma_class: bool
     reid_report: ReidemeisterReport
     factor_signs: tuple  # sign det(E - M_j) for factor j = 1..n
-    # per block: (sign, m, base, cols), so that class alpha's residues over
-    # m are (base + sum_k alpha_k cols[k]) mod m
-    solutions: tuple = field(repr=False)
+    # per block (sign, m, base, cols): class alpha's residues over m are
+    # (base + sum_k alpha_k cols[k]) mod m
+    _solutions: tuple = field(repr=False, compare=False)
 
     @cached_property
     def classes(self) -> tuple:
-        """The fixed point classes, listed on first use."""
-        return _list_classes(self.reid_report, self.solutions)
+        """The fixed point classes, listed on first read."""
+        return _list_classes(self.reid_report, self._solutions)
 
 
 def fixed_point_classes(sys: LiftSystem, report: ReidemeisterReport = None):
     """Enumerate the fixed point classes of a lift system.
 
-    Requires R(f) finite.  Returns one :class:`FixedPointClass` per
-    Reidemeister class, with pairwise distinct points.
+    Requires R(f) finite and at most LISTING_LIMIT.  Returns one
+    :class:`FixedPointClass` per Reidemeister class, with pairwise
+    distinct points.
     """
     if report is None:
         report = reidemeister_number(sys)
-    if is_infinite(report.total):
-        raise InfiniteClassesError("R(f) is infinite: no finite class enumeration")
     return nielsen_report(sys, report).classes
 
 
 def _list_classes(report: ReidemeisterReport, solutions) -> tuple:
+    if report.total > LISTING_LIMIT:
+        raise TooManyClassesError(
+            f"R = {report.total} classes is too many to list (limit {LISTING_LIMIT})"
+        )
     common = lcm(*(m for _, m, _, _ in solutions))
     seen = set()
     classes = []
     for block, (sign, m, base, cols) in zip(report.blocks, solutions):
-        # residues coordinate by coordinate, grown one axis at a time in the
-        # lex order of the coset representatives: axis k steps each point
+        # the alphas in lex order and their residues coordinate by
+        # coordinate, grown one axis at a time: axis k steps each point
         # d_k times along its column
-        coords = [[x] for x in base]
+        alphas, coords = [()], [[x] for x in base]
         for d, col in zip(hnf_diagonal(block.image_lattice), cols):
+            alphas = [a + (t,) for a in alphas for t in range(d)]
             coords = [[(x + t * c) % m for x in xs for t in range(d)]
                       for xs, c in zip(coords, col)]
-        points = list(zip(*coords))
         # distinct across sigma-classes too: compare over the common denominator
         scale = common // m
         size = len(seen)
-        seen.update(points if scale == 1 else zip(*([x * scale for x in xs] for xs in coords)))
-        if len(seen) != size + len(points):
+        seen.update(zip(*([x * scale for x in xs] for xs in coords)))
+        if len(seen) != size + len(alphas):
             raise AssertionError(
                 f"distinct classes of sigma-class {block.sigma_class.members} "
                 "share a torus point"
             )
         i = block.sigma_class.representative
-        classes.extend(
-            FixedPointClass(alpha, i, residues, m, sign)
-            for (alpha, _), residues in zip(block.representatives, points, strict=True)
-        )
+        classes.extend(FixedPointClass(alpha, i, residues, m, sign)
+                       for alpha, residues in zip(alphas, zip(*coords)))
     return tuple(classes)
 
 
@@ -139,17 +141,15 @@ def nielsen_number(sys: LiftSystem) -> NielsenReport:
     Fails loudly if index uniformity within sigma-classes is violated (it
     cannot be, for a valid torus lift system).
     """
-    report = reidemeister_number(sys)
-    if is_infinite(report.total):
-        raise InfiniteClassesError("R(f) is infinite: the Nielsen count needs R finite")
-    return nielsen_report(sys, report)
+    return nielsen_report(sys, reidemeister_number(sys))
 
 
 def nielsen_report(sys: LiftSystem, report: ReidemeisterReport) -> NielsenReport:
-    """The Nielsen report of a finite ``report``, counted without listing
-    the classes; raises as :func:`nielsen_number` does."""
+    """The Nielsen report of ``report``, counted without listing the
+    classes; raises as :func:`nielsen_number` does."""
+    if is_infinite(report.total):
+        raise InfiniteClassesError("R(f) is infinite: no finite class list or Nielsen count")
     solutions = []
-    other_signs = {}
     factor_signs = [0] * sys.n
     for block in report.blocks:
         cls = block.sigma_class
@@ -170,28 +170,21 @@ def nielsen_report(sys: LiftSystem, report: ReidemeisterReport) -> NielsenReport
         base = tuple(sign * sum(x * y for x, y in zip(row, offset)) % m for row in adj)
         cols = tuple(tuple(sign * s * row[k] % m for row in adj) for k, s in enumerate(scales))
         solutions.append((sign, m, base, cols))
-        # a member with its representative's linear part shares its sign;
-        # any other linear part gets one determinant of its own.  Members
-        # are compared, not hashed: Fraction hashes are not cached.
+        # a valid system gives every member its representative's linear
+        # part; any other linear part gets a determinant of its own
         for j in cls.members:
             linear = sys.factors[j - 1].linear
-            if linear == factor.linear:
-                factor_signs[j - 1] = sign
-                continue
-            if linear not in other_signs:
-                det = rational_det(
-                    [[int(r == c) - x for c, x in enumerate(row)]
-                     for r, row in enumerate(linear)]
-                )
-                other_signs[linear] = (det > 0) - (det < 0)
-            factor_signs[j - 1] = other_signs[linear]
+            d = det if linear == factor.linear else rational_det(
+                [[int(r == c) - x for c, x in enumerate(row)] for r, row in enumerate(linear)]
+            )
+            factor_signs[j - 1] = (d > 0) - (d < 0)
     nreport = NielsenReport(
         nielsen=sum(block.count for block in report.blocks),
         reidemeister=report.total,
         uniformity_per_sigma_class=True,
         reid_report=report,
         factor_signs=tuple(factor_signs),
-        solutions=tuple(solutions),
+        _solutions=tuple(solutions),
     )
     if not index_uniformity(nreport, report.sigma):
         raise AssertionError(

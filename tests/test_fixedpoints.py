@@ -10,6 +10,7 @@ from nvalued.fixedpoints import (
     InfiniteClassesError,
     NonIntegralResultError,
     SingularLinearPartError,
+    TooManyClassesError,
     fixed_point_classes,
     index_uniformity,
     nielsen_linear_formula,
@@ -295,11 +296,16 @@ class TestCountWithoutListing:
         monkeypatch.setattr(ClassBlock, "representatives", property(refuse))
         nr = nielsen_number(make_circle(1, -10**5))
         assert nr.nielsen == 100001
-        with pytest.raises(AssertionError, match="a class was listed"):
-            nr.classes
         huge = nielsen_number(make_linear(1, [[3 * 10**18, 0], [0, 7]]))
         assert huge.nielsen == huge.reidemeister == 17999999999999999994
         assert huge.factor_signs == (1,)  # det(E - A) = (1 - 3 10^18)(1 - 7) > 0
+
+    def test_huge_r_is_refused_not_listed(self):
+        sys = make_linear(1, [[3 * 10**18, 0], [0, 7]])
+        with pytest.raises(TooManyClassesError, match="R = 17999999999999999994"):
+            nielsen_number(sys).classes
+        with pytest.raises(TooManyClassesError, match="R = 17999999999999999994"):
+            fixed_point_classes(sys)
 
     def test_classes_listed_on_read(self):
         nr = nielsen_number(torus3_system())
