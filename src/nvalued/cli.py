@@ -77,8 +77,13 @@ def _residue_str(r, m) -> str:
 
 
 def _parse_fraction(text):
+    text = str(text)
     try:
-        return Fraction(str(text))
+        # Fraction builds 10**|exponent|: refuse an exponent above the
+        # int-digit limit, as int() refuses a digit string that long
+        if abs(int(text.lower().partition("e")[2] or 0)) > sys.get_int_max_str_digits():
+            raise ValueError(f"exponent magnitude above {sys.get_int_max_str_digits()}")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad rational {text!r}: {exc}") from None
 
@@ -127,6 +132,8 @@ def load_map_document(path) -> tuple:
         raise DocumentError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError(f"{path} nests too deeply") from None
     return build_system(doc)
 
 

@@ -7,10 +7,10 @@ point class p Fix(alpha + f_i): solving
 
 exactly and reducing mod 1 gives the class's torus point.  At a
 nondegenerate fixed point of an affine map the index is the local degree
-sign det(E - M_i).  One adjugate per sigma-class solves the system for
-every alpha, so a point is kept as integer residues over |det(E - M_i)|
-(times the row scales of the integer system) and reduced to lowest terms
-only when it is written out.
+sign det(E - M_i).  One adjugate of the integer system D (E - M_i), D the
+system's common denominator, solves it for every alpha, so a point is
+kept as integer residues over |det(D E - D M_i)| = D^q |det(E - M_i)| and
+reduced to lowest terms only when it is written out.
 
 Equivariance gives phi_r(s) = M_r s on the stabilizer S_r of a
 sigma-class representative r, so the image lattice is (E - M_r) S_r and
@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import lcm
 
-from .intlinalg import adjugate, hnf_diagonal, is_infinite, rational_det
+from .intlinalg import adjugate, eliminate, hnf_diagonal, is_infinite
 from .liftsystems import LiftSystem, require_congruent_rows
 from .reidemeister import ReidemeisterReport, SigmaClassReport, reidemeister_number
 
@@ -151,32 +151,31 @@ def nielsen_report(sys: LiftSystem, report: ReidemeisterReport) -> NielsenReport
         raise InfiniteClassesError("R(f) is infinite: no finite class list or Nielsen count")
     solutions = []
     factor_signs = [0] * sys.n
+    q, den = sys.q, sys.factors[0].den
     for block in report.blocks:
         cls = block.sigma_class
         factor = sys.factors[cls.representative - 1]
-        mat, offset, scales = factor.fixed_point_system()
+        mat, offset = factor.fixed_point_system()
         det, adj = adjugate(mat)
         if det == 0:
             raise AssertionError(f"R is finite but det(E - M_{cls.representative}) = 0")
         sign, m = (det > 0) - (det < 0), abs(det)
-        # [Z^q : L_r] = |class| |det(E - M_r)|, and m is |det(E - M_r)|
-        # times the row scales
-        if block.count * prod(scales) != len(cls.members) * m:
+        # [Z^q : L_r] = |class| |det(E - M_r)|, and m is D^q |det(E - M_r)|
+        if block.count * den**q != len(cls.members) * m:
             raise AssertionError(
                 f"sigma-class {cls.members} has {block.count} classes, but "
-                f"|class| |det(E - M_r)| = {len(cls.members) * m} / {prod(scales)}"
+                f"|class| |det(E - M_r)| = {len(cls.members) * m} / {den**q}"
             )
-        # t = adj (offset + scales * alpha) / det mod 1, as residues over m
+        # t = adj (offset + D alpha) / det mod 1, as residues over m
         base = tuple(sign * sum(x * y for x, y in zip(row, offset)) % m for row in adj)
-        cols = tuple(tuple(sign * s * row[k] % m for row in adj) for k, s in enumerate(scales))
+        cols = tuple(tuple(sign * den * row[k] % m for row in adj) for k in range(q))
         solutions.append((sign, m, base, cols))
         # a valid system gives every member its representative's linear
         # part; any other linear part gets a determinant of its own
         for j in cls.members:
-            linear = sys.factors[j - 1].linear
-            d = det if linear == factor.linear else rational_det(
-                [[int(r == c) - x for c, x in enumerate(row)] for r, row in enumerate(linear)]
-            )
+            member = sys.factors[j - 1]
+            d = det if member.numer == factor.numer else eliminate(
+                member.fixed_point_system()[0])[2]
             factor_signs[j - 1] = (d > 0) - (d < 0)
     nreport = NielsenReport(
         nielsen=sum(block.count for block in report.blocks),
@@ -208,16 +207,14 @@ def index_uniformity(report: NielsenReport, sigma: SigmaClassReport) -> bool:
 def nielsen_linear_formula(n: int, matrix) -> int:
     """Closed form n |det(E - A/n)| for the linear n-valued torus map.
 
-    The value is provably an integer; a non-integral result signals an
-    arithmetic bug and raises.
+    It is |det(n E - A)| / n^(q-1), provably an integer; a nonzero
+    remainder signals an arithmetic bug and raises.
     """
     a = [list(map(int, row)) for row in matrix]
     q = len(a)
     require_congruent_rows(n, a)
-    e_minus = [
-        [Fraction(int(r == c)) - Fraction(a[r][c], n) for c in range(q)] for r in range(q)
-    ]
-    value = n * abs(rational_det(e_minus))
-    if value.denominator != 1:
-        raise NonIntegralResultError(f"n |det(E - A/n)| = {value} is not integral")
-    return int(value)
+    det = eliminate([[n * (r == c) - x for c, x in enumerate(row)] for r, row in enumerate(a)])[2]
+    value, rest = divmod(n * abs(det), n**q)
+    if rest:
+        raise NonIntegralResultError(f"n |det(E - A/n)| = {n * abs(det)}/{n**q} is not integral")
+    return value

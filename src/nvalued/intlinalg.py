@@ -18,9 +18,9 @@ Conventions
   index is the product of the HNF diagonal.
 * Every determinant, solution, adjugate and kernel comes from
   :func:`eliminate`, a fraction-free Gauss-Jordan elimination over
-  ``int``.  Rational input is first scaled row by row to integers
-  (:func:`integer_rows`); ``Fraction`` appears only in the result of the
-  rational wrapper :func:`rational_det`.
+  ``int``; the engine hands it integer matrices only.  The rational entry
+  points :func:`rational_det` and :func:`left_kernel` first scale each
+  row to integers (:func:`integer_rows`).
 """
 
 from __future__ import annotations

@@ -4,25 +4,24 @@ A system is a list of n affine self-maps of R^q,
 
     t |-> M_i t + c_i          (M_i rational q x q, c_i rational),
 
-that projects to a genuine n-valued map of T^q = R^q / Z^q.  The model
-is validated exactly:
+that projects to a genuine n-valued map of T^q = R^q / Z^q.  Factor i
+is kept as the integers D M_i and D c_i over one denominator D for the
+whole system, and the model is validated exactly, over ``int``:
 
 * equivariance: for each standard generator e_k of Z^q and each index i
   there must be exactly one index j with M_i = M_j and
   M_i e_k + c_i - c_j in Z^q; these data assemble the homomorphism
   psi: Z^q -> (Z^q)^n x| Sigma_n recorded on generators.  The partner j
   is one dictionary lookup: factors are grouped by linear part and keyed
-  by their offsets reduced mod Z^q;
+  by their scaled offsets D c_i reduced mod D;
 * commutation: the q generator images must commute;
 * no collision: for i != j the affine difference
   (M_i - M_j) t + (c_i - c_j) must avoid Z^q for every real t.  When
   M_i = M_j the difference is the constant c_i - c_j, so the two factors
   collide iff their offsets agree mod Z^q: equal keys in the same
-  dictionary, found in the one pass that builds it.  Otherwise it is
-  decided exactly over the rationals: writing D = M_i - M_j and
-  e = c_i - c_j, a collision exists iff some z in Z^q satisfies
-  U z = U e where the integer rows of U span the left kernel of D,
-  which is a lattice membership test.
+  dictionary, found in the one pass that builds it.  Otherwise a
+  collision is a z in Z^q with y . z = y . (c_i - c_j) for every integer
+  row y of the left kernel of D (M_i - M_j): a lattice membership test.
 
 A :class:`LiftSystem` is validated once: its ``psi`` property caches the
 result of :func:`validate`.
@@ -33,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
-from .intlinalg import integer_rows, lattice_contains, lattice_from_generators, left_kernel
+from .intlinalg import lattice_contains, lattice_from_generators, left_kernel
 from .semidirect import DimensionMismatchError, Permutation, SemidirectElement
 
 
@@ -64,35 +64,31 @@ class RowsNotCongruentError(LiftSystemError):
 
 @dataclass(frozen=True)
 class AffineLiftFactor:
-    """One affine self-map of R^q: t |-> linear @ t + offset."""
+    """One affine self-map of R^q, t |-> M t + c with M = numer / den and
+    c = shift / den: q tuples of q ints and q ints over the denominator
+    that every factor of a system shares."""
 
-    linear: tuple  # q tuples of q Fractions
-    offset: tuple  # q Fractions
+    numer: tuple
+    shift: tuple
+    den: int
 
     @property
     def q(self) -> int:
-        return len(self.offset)
+        return len(self.shift)
 
-    def __call__(self, t):
-        return tuple(
-            sum((self.linear[i][k] * t[k] for k in range(self.q)), Fraction(0))
-            + self.offset[i]
-            for i in range(self.q)
-        )
+    @property
+    def linear(self) -> tuple:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.numer)
+
+    @property
+    def offset(self) -> tuple:
+        return tuple(Fraction(x, self.den) for x in self.shift)
 
     def fixed_point_system(self):
-        """The system (E - M) t = c with each row scaled to integers.
-
-        Returns ``(matrix, rhs, scales)``: row r is ``scales[r]`` times row r
-        of [E - M | c], so (E - M) t = c + alpha has the integer right-hand
-        side ``rhs[r] + scales[r] * alpha[r]``.
-        """
-        q = self.q
-        rows, scales = integer_rows(
-            [[int(r == c) - self.linear[r][c] for c in range(q)] + [self.offset[r]]
-             for r in range(q)]
-        )
-        return [row[:q] for row in rows], [row[q] for row in rows], scales
+        """(E - M) t = c times D, as ``(D E - numer, shift)``: so the system
+        (E - M) t = c + alpha has the right-hand side shift + D alpha."""
+        return [[self.den * (r == c) - x for c, x in enumerate(row)]
+                for r, row in enumerate(self.numer)], self.shift
 
 
 @dataclass(frozen=True)
@@ -128,59 +124,45 @@ class PsiData:
     generator_images: tuple  # q SemidirectElements
 
 
-def _freeze_matrix(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _freeze_vector(vec):
-    return tuple(Fraction(x) for x in vec)
-
-
-def lift_factor(linear, offset) -> AffineLiftFactor:
-    linear = _freeze_matrix(linear)
-    offset = _freeze_vector(offset)
-    q = len(offset)
-    if len(linear) != q or any(len(row) != q for row in linear):
-        raise ValueError("linear part must be square and match the offset length")
-    return AffineLiftFactor(linear, offset)
-
-
 def lift_system(factor_data) -> LiftSystem:
-    """Build a LiftSystem from (linear, offset) pairs; no validation."""
-    factors = tuple(lift_factor(lin, off) for lin, off in factor_data)
-    if not factors:
+    """Build a LiftSystem from (linear, offset) pairs of rationals, over the
+    lcm D of all their reduced denominators; no validation."""
+    data = [([[Fraction(x) for x in row] for row in lin], [Fraction(x) for x in off])
+            for lin, off in factor_data]
+    if any(len(lin) != len(off) or any(len(row) != len(off) for row in lin)
+           for lin, off in data):
+        raise ValueError("linear part must be square and match the offset length")
+    if not data:
         raise ValueError("a lift system needs at least one factor")
-    q = factors[0].q
+    q = len(data[0][1])
     if q < 1:
         raise ValueError("the torus dimension q must be at least 1")
-    if any(f.q != q for f in factors):
+    if any(len(off) != q for _, off in data):
         raise ValueError("all factors must share the same ambient dimension")
-    return LiftSystem(factors)
+    den = lcm(*(x.denominator for lin, off in data for row in (*lin, off) for x in row))
+
+    def over_den(row):
+        return tuple(x.numerator * (den // x.denominator) for x in row)
+
+    return LiftSystem(tuple(AffineLiftFactor(tuple(map(over_den, lin)), over_den(off), den)
+                            for lin, off in data))
 
 
 def _images_collide(fi: AffineLiftFactor, fj: AffineLiftFactor) -> bool:
     """Exact test: does (M_i - M_j) t + (c_i - c_j) hit Z^q for some real t?"""
-    q = fi.q
-    diff = [[fi.linear[r][c] - fj.linear[r][c] for c in range(q)] for r in range(q)]
-    e = [fi.offset[r] - fj.offset[r] for r in range(q)]
+    den = fi.den
+    diff = [[x - y for x, y in zip(ri, rj)] for ri, rj in zip(fi.numer, fj.numer)]
+    e = [x - y for x, y in zip(fi.shift, fj.shift)]
     kernel = left_kernel(diff)
     if not kernel:
-        # D nonsingular: D t + e hits every point of R^q
+        # nonsingular difference: it hits every point of R^q
         return True
-    # z in Z^q with (row . z) = (row . e) for every integer kernel row
-    rhs = [sum((y * x for y, x in zip(row, e)), Fraction(0)) for row in kernel]
-    if any(b.denominator != 1 for b in rhs):
+    # z in Z^q with y . z = (y . e) / D for every integer kernel row y
+    rhs = [sum(y * x for y, x in zip(row, e)) for row in kernel]
+    if any(b % den for b in rhs):
         return False
-    r = len(kernel)
-    columns = [tuple(row[c] for row in kernel) for c in range(q)]
-    lattice = lattice_from_generators(columns, r)
-    target = tuple(int(b) for b in rhs)
-    return lattice_contains(lattice, target)
-
-
-def _residue_key(vec):
-    """The rational vector ``vec`` reduced mod Z^q, as a hashable key."""
-    return tuple((x.numerator % x.denominator, x.denominator) for x in vec)
+    lattice = lattice_from_generators(zip(*kernel), len(kernel))
+    return lattice_contains(lattice, [b // den for b in rhs])
 
 
 def _first_collision(factors, group, same):
@@ -211,13 +193,14 @@ def validate(sys: LiftSystem) -> PsiData:
     """
     n, q = sys.n, sys.q
     factors = sys.factors
-    groups = {}  # linear part -> group number
+    den = factors[0].den
+    groups = {}  # D M -> group number
     group = []  # group number of each factor
-    keyed = {}  # (group number, offset mod Z^q) -> factor indices, ascending
+    keyed = {}  # (group number, D c mod D) -> factor indices, ascending
     for i, f in enumerate(factors):
-        g = groups.setdefault(f.linear, len(groups))
+        g = groups.setdefault(f.numer, len(groups))
         group.append(g)
-        keyed.setdefault((g, _residue_key(f.offset)), []).append(i)
+        keyed.setdefault((g, tuple(x % den for x in f.shift)), []).append(i)
     # equal linear parts collide iff their offsets agree mod Z^q
     same = min((ix[:2] for ix in keyed.values() if len(ix) > 1), default=None)
     pair = _first_collision(factors, group, same)
@@ -232,9 +215,9 @@ def validate(sys: LiftSystem) -> PsiData:
         sigma_inv = [0] * n  # sigma^{-1}(i), 1-based values
         phi = [None] * n
         for i, fi in enumerate(factors):
-            shift = [row[k] + c for row, c in zip(fi.linear, fi.offset)]  # M_i e_k + c_i
+            image = [row[k] + c for row, c in zip(fi.numer, fi.shift)]  # D (M_i e_k + c_i)
             # partner j: same linear part, M_i e_k + c_i - c_j integral
-            matches = keyed.get((group[i], _residue_key(shift)), ())
+            matches = keyed.get((group[i], tuple(x % den for x in image)), ())
             if not matches:
                 raise NotEquivariantError(
                     f"factor {i + 1} has no deck partner under generator e_{k + 1}"
@@ -246,11 +229,7 @@ def validate(sys: LiftSystem) -> PsiData:
                 )
             j = matches[0]
             sigma_inv[i] = j + 1
-            # equal residues: the difference is the difference of the floors
-            phi[i] = tuple(
-                s.numerator // s.denominator - c.numerator // c.denominator
-                for s, c in zip(shift, factors[j].offset)
-            )
+            phi[i] = tuple((x - c) // den for x, c in zip(image, factors[j].shift))
         if sorted(sigma_inv) != list(range(1, n + 1)):
             raise AmbiguousLiftError(
                 f"deck partners under generator e_{k + 1} do not form a permutation"
@@ -336,11 +315,7 @@ def make_split(parts) -> LiftSystem:
     A_i integral.  Validation rejects branch collisions, and the derived
     generator permutations are necessarily trivial.
     """
-    factors = []
-    for a, b in parts:
-        a = [list(map(int, row)) for row in a]
-        factors.append((a, [Fraction(x) for x in b]))
-    sys = lift_system(factors)
+    sys = lift_system([([list(map(int, row)) for row in a], b) for a, b in parts])
     data = sys.psi
     # integral linear parts force sigma = id (a nontrivial partner would be
     # a collision); assert rather than trust

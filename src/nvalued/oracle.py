@@ -359,31 +359,31 @@ def brute_fixed_points(sys: LiftSystem, box_bound: int):
     alpha in [-B, B]^q, reduces mod 1, and deduplicates.  Raises
     :class:`SingularLinearPartError` if any factor is degenerate.
 
-    With m = |det(E - M_i)|, the residues m t mod m over the box are
-    base + sum_d k_d col_d for k in [0, 2B]^q, one integer column per
-    unit step of alpha.  That set is grown one axis at a time, stepping
-    each distinct residue 2B times along the axis, so the work scales
-    with the distinct residues, never beyond the (2B+1)^q box cells;
-    ``Fraction``s are built only for the final distinct points.
+    With m = |det(D E - D M_i)| over the system's denominator D, the
+    residues m t mod m over the box are base + sum_d k_d col_d for k in
+    [0, 2B]^q, one integer column per unit step of alpha.  That set is
+    grown one axis at a time, stepping each distinct residue 2B times
+    along the axis, so the work scales with the distinct residues, never
+    beyond the (2B+1)^q box cells; ``Fraction``s are built only at the end.
     """
-    q = sys.q
+    q, den = sys.q, sys.factors[0].den
     points = set()
     for i, factor in enumerate(sys.factors, start=1):
-        mat, offset, scales = factor.fixed_point_system()
+        mat, offset = factor.fixed_point_system()
         det, adj = adjugate(mat)
         if det == 0:
             raise SingularLinearPartError(
                 f"factor {i} has det(E - M) = 0: fixed point set not isolated"
             )
-        # t = adj (offset + scales * alpha) / det; work mod 1 with the one
+        # t = adj (offset + D alpha) / det; work mod 1 with the one
         # denominator m = |det|, so points are int tuples until the end
         sign, m = (det > 0) - (det < 0), abs(det)
-        corner = [offset[r] - scales[r] * box_bound for r in range(q)]
+        corner = [x - den * box_bound for x in offset]
         residues = {
             tuple((sign * sum(x * y for x, y in zip(row, corner))) % m for row in adj)
         }
         for d in range(q):
-            col = [sign * adj[r][d] * scales[d] % m for r in range(q)]
+            col = [sign * den * row[d] % m for row in adj]
             grown = set()
             for current in residues:
                 grown.add(current)

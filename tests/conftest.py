@@ -105,6 +105,19 @@ def random_system(rng: random.Random):
     return make_linear(n, rows)
 
 
+def shifted_system(sys):
+    """``sys`` with every offset moved by the same c = (1/5, 1/7, 1/11)[:q].
+
+    A common shift keeps every offset difference, so the map stays valid
+    (or fails validation the same way) and psi is unchanged; it mixes
+    denominators 5, 7 and 11 into the system's own.
+    """
+    c = (Fraction(1, 5), Fraction(1, 7), Fraction(1, 11))[: sys.q]
+    return lift_system(
+        [(f.linear, [x + y for x, y in zip(f.offset, c)]) for f in sys.factors]
+    )
+
+
 def class_label(report, alpha, i: int):
     """Canonical label of the lift-factor (alpha, i) under ``report``.
 

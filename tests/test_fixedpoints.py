@@ -33,7 +33,7 @@ from nvalued.liftsystems import (
 )
 from nvalued.reidemeister import ClassBlock, reidemeister_number
 
-from conftest import random_linear_system, random_system, torus3_system
+from conftest import random_linear_system, random_system, shifted_system, torus3_system
 from test_acceptance import collected_instances
 
 
@@ -242,19 +242,21 @@ class TestIndexStructure:
 
 class TestResidues:
     """Points are residues over |det| grown one axis at a time; they must
-    equal the per-class solve t = adj (offset + scales alpha) / det mod 1,
-    in the order of the coset representatives."""
+    equal the per-class solve t = adj (offset + D alpha) / det mod 1 of
+    the integer system over the common denominator D, in the order of
+    the coset representatives."""
 
     @staticmethod
     def per_class_points(sys, report):
         points = []
         for block in report.blocks:
             i = block.sigma_class.representative
-            mat, offset, scales = sys.factors[i - 1].fixed_point_system()
+            factor = sys.factors[i - 1]
+            mat, offset = factor.fixed_point_system()
             det, adj = adjugate(mat)
             sign, m = (det > 0) - (det < 0), abs(det)
             for alpha, _ in block.representatives:
-                rhs = [c + s * a for c, s, a in zip(offset, scales, alpha)]
+                rhs = [c + factor.den * a for c, a in zip(offset, alpha)]
                 points.append(tuple(
                     Fraction((sign * sum(x * y for x, y in zip(row, rhs))) % m, m)
                     for row in adj
@@ -267,6 +269,10 @@ class TestResidues:
         for _ in range(300):
             sys = random_system(rng)
             cases.append((sys, reidemeister_number(sys)))
+            # mixed denominators: the same psi, other fixed points
+            shifted = shifted_system(sys)
+            assert shifted.psi == sys.psi
+            cases.append((shifted, reidemeister_number(shifted)))
         for sys, report in cases:
             if is_infinite(report.total):
                 continue

@@ -27,8 +27,17 @@ from conftest import (
     random_congruent_matrix,
     random_linear_system,
     random_system,
+    shifted_system,
     torus3_system,
 )
+
+
+def apply_factor(factor, t):
+    """The image M t + c of the point ``t`` (Fractions) under ``factor``."""
+    return tuple(
+        sum((m * x for m, x in zip(row, t)), Fraction(0)) + c
+        for row, c in zip(factor.linear, factor.offset)
+    )
 
 
 class TestValidateTorus3:
@@ -165,7 +174,7 @@ class TestMakeSplit:
         f1, f2 = sys.factors
         for k in range(100):
             t = (Fraction(k, 100),)
-            diff = f1(t)[0] - f2(t)[0]
+            diff = apply_factor(f1, t)[0] - apply_factor(f2, t)[0]
             assert diff != int(diff)
 
     def test_single_part(self):
@@ -234,7 +243,7 @@ def pairwise_validate(sys):
         phi = [None] * n
         for i in range(n):
             fi = sys.factors[i]
-            shift = fi(e_k)
+            shift = apply_factor(fi, e_k)
             matches = []
             for j in range(n):
                 fj = sys.factors[j]
@@ -357,6 +366,10 @@ class TestValidateAgainstPairwise:
             sys = _perturbed_system(rng)
             expect = _outcome(pairwise_validate, sys)
             assert _outcome(validate, sys) == expect, sys
+            # mixed denominators: the same psi or the same error again
+            shifted = shifted_system(sys)
+            assert _outcome(pairwise_validate, shifted) == expect, shifted
+            assert _outcome(validate, shifted) == expect, shifted
             seen.add(expect[0] if isinstance(expect, tuple) else PsiData)
         assert {PsiData, CollisionError, NotEquivariantError} <= seen
 

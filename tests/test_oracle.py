@@ -33,7 +33,7 @@ from nvalued.oracle import (
 )
 from nvalued.reidemeister import reidemeister_number
 
-from conftest import random_system, torus3_system
+from conftest import random_system, shifted_system, torus3_system
 
 
 def reference_classes(data, box, word):
@@ -237,18 +237,18 @@ def reference_oracle_check(sys, cfg, report):
 
 
 def residue_steps(factor, box_bound):
-    """``(m, base, cols)`` of one factor, m = |det(E - M)|: the fixed
-    points m t mod m over the box are base + sum_d k_d cols[d] mod m
-    for k in [0, 2B]^q."""
-    q = factor.q
-    mat, offset, scales = factor.fixed_point_system()
+    """``(m, base, cols)`` of one factor, m = |det(D E - D M)| over the
+    system's common denominator D: the fixed points m t mod m over the
+    box are base + sum_d k_d cols[d] mod m for k in [0, 2B]^q."""
+    q, den = factor.q, factor.den
+    mat, offset = factor.fixed_point_system()
     det, adj = adjugate(mat)
     if det == 0:
         raise SingularLinearPartError("degenerate factor")
     sign, m = (det > 0) - (det < 0), abs(det)
-    corner = [offset[r] - scales[r] * box_bound for r in range(q)]
+    corner = [x - den * box_bound for x in offset]
     base = tuple((sign * sum(x * y for x, y in zip(row, corner))) % m for row in adj)
-    cols = [tuple(sign * adj[r][d] * scales[d] % m for r in range(q)) for d in range(q)]
+    cols = [tuple(sign * den * adj[r][d] % m for r in range(q)) for d in range(q)]
     return m, base, cols
 
 
@@ -450,13 +450,20 @@ class TestBruteFixedPoints:
         while truncating < 200:
             sys = random_system(rng)
             bound = rng.randint(1, 3)
+            # mixed denominators: the same psi, other fixed points; a shift
+            # changes neither which factors are singular nor the walk's steps
+            shifted = shifted_system(sys)
+            assert shifted.psi == sys.psi
             try:
                 expected = reference_fixed_points(sys, bound)
             except SingularLinearPartError:
-                with pytest.raises(SingularLinearPartError):
-                    brute_fixed_points(sys, bound)
+                for singular in (sys, shifted):
+                    with pytest.raises(SingularLinearPartError):
+                        brute_fixed_points(singular, bound)
                 continue
             assert brute_fixed_points(sys, bound) == expected, (sys, bound)
+            expected = reference_fixed_points(shifted, bound)
+            assert brute_fixed_points(shifted, bound) == expected, (shifted, bound)
             truncating += walk_truncates(sys, bound)
 
 
