@@ -19,7 +19,9 @@ Every class of a finite R(f) is therefore a single point of index +-1,
 and N(f) = R(f), the sum of the block counts: :func:`nielsen_report`
 counts without listing.  It checks each count against the determinant,
 [Z^q : L_r] = |class| |det(E - M_r)|, and compares sign det(E - M_j) of
-every member j with its representative's.
+every member j with its representative's.  A listed class takes its
+label (alpha, r) from ``ClassBlock.representatives``, so a report lists
+each block's cosets once.
 """
 
 from __future__ import annotations
@@ -30,11 +32,8 @@ from functools import cached_property
 from math import lcm
 
 from .intlinalg import adjugate, eliminate, hnf_diagonal, is_infinite
-from .liftsystems import LiftSystem, require_congruent_rows
+from .liftsystems import LISTING_LIMIT, LiftSystem, require_congruent_rows
 from .reidemeister import ReidemeisterReport, SigmaClassReport, reidemeister_number
-
-# a finite R above this is refused, not listed
-LISTING_LIMIT = 10**6
 
 
 class InfiniteClassesError(ValueError):
@@ -112,26 +111,24 @@ def _list_classes(report: ReidemeisterReport, solutions) -> tuple:
     seen = set()
     classes = []
     for block, (sign, m, base, cols) in zip(report.blocks, solutions):
-        # the alphas in lex order and their residues coordinate by
-        # coordinate, grown one axis at a time: axis k steps each point
-        # d_k times along its column
-        alphas, coords = [()], [[x] for x in base]
+        # the residues of the block's representatives (lex order over the
+        # HNF diagonal) coordinate by coordinate, grown one axis at a
+        # time: axis k steps each point d_k times along its column
+        coords = [[x] for x in base]
         for d, col in zip(hnf_diagonal(block.image_lattice), cols):
-            alphas = [a + (t,) for a in alphas for t in range(d)]
             coords = [[(x + t * c) % m for x in xs for t in range(d)]
                       for xs, c in zip(coords, col)]
         # distinct across sigma-classes too: compare over the common denominator
         scale = common // m
         size = len(seen)
         seen.update(zip(*([x * scale for x in xs] for xs in coords)))
-        if len(seen) != size + len(alphas):
+        if len(seen) != size + len(block.representatives):
             raise AssertionError(
                 f"distinct classes of sigma-class {block.sigma_class.members} "
                 "share a torus point"
             )
-        i = block.sigma_class.representative
         classes.extend(FixedPointClass(alpha, i, residues, m, sign)
-                       for alpha, residues in zip(alphas, zip(*coords)))
+                       for (alpha, i), residues in zip(block.representatives, zip(*coords)))
     return tuple(classes)
 
 

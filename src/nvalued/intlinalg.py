@@ -9,10 +9,10 @@ one elimination kernel.
 Conventions
 -----------
 * Integer matrices are lists (or tuples) of rows of ints.
-* Hermite normal form is *row-style*: a unimodular U with ``U @ M = H``,
-  pivots positive, entries above each pivot reduced into ``[0, pivot)``,
-  zero rows at the bottom.  Equal row spans produce identical H, which is
-  what makes lattice equality a plain tuple comparison.
+* Hermite normal form is *row-style*: pivots positive, entries above
+  each pivot reduced into ``[0, pivot)``, zero rows at the bottom.  Equal
+  row spans produce identical H, which is what makes lattice equality a
+  plain tuple comparison; the unimodular row operations are not kept.
 * A :class:`Sublattice` always stores its basis in HNF with zero rows
   stripped, so it is the canonical form of the subgroup it spans.  Its
   index is the product of the HNF diagonal.
@@ -99,10 +99,6 @@ def vec_neg(u):
     return tuple(-a for a in u)
 
 
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def frac_identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -122,16 +118,15 @@ def mat_mul(a, b):
 
 
 def hermite_normal_form(mat):
-    """Row-style HNF of an integer matrix.
+    """Row-style HNF H of an integer matrix M.
 
-    Returns ``(H, U)`` with U unimodular and ``U @ M = H``.  Pivot entries
-    are positive, entries above a pivot lie in ``[0, pivot)``, and zero
-    rows sink to the bottom.  H is the unique such form of the row span.
+    H is M after unimodular row operations: pivot entries are positive,
+    entries above a pivot lie in ``[0, pivot)``, and zero rows sink to the
+    bottom.  H is the unique such form of the row span.
     """
     m = [list(map(int, row)) for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    u = identity_matrix(rows)
     r = 0
     for c in range(cols):
         # gcd elimination below row r in column c
@@ -142,15 +137,12 @@ def hermite_normal_form(mat):
             best = min(pivots, key=lambda i: (abs(m[i][c]), i))
             if best != r:
                 m[r], m[best] = m[best], m[r]
-                u[r], u[best] = u[best], u[r]
             done = True
             for i in range(r + 1, rows):
                 if m[i][c] != 0:
                     q = m[i][c] // m[r][c]
                     for j in range(cols):
                         m[i][j] -= q * m[r][j]
-                    for j in range(rows):
-                        u[i][j] -= q * u[r][j]
                     if m[i][c] != 0:
                         done = False
             if done:
@@ -158,18 +150,15 @@ def hermite_normal_form(mat):
         if r < rows and m[r][c] != 0:
             if m[r][c] < 0:
                 m[r] = [-x for x in m[r]]
-                u[r] = [-x for x in u[r]]
             for i in range(r):
                 q = m[i][c] // m[r][c]
                 if q:
                     for j in range(cols):
                         m[i][j] -= q * m[r][j]
-                    for j in range(rows):
-                        u[i][j] -= q * u[r][j]
             r += 1
             if r == rows:
                 break
-    return m, u
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +193,7 @@ def lattice_from_generators(vectors, ambient_dim) -> Sublattice:
             raise ValueError(f"generator {v} does not have length {ambient_dim}")
     if not vectors:
         return Sublattice(ambient_dim, ())
-    h, _ = hermite_normal_form(vectors)
-    rows = tuple(tuple(r) for r in h if any(r))
+    rows = tuple(tuple(r) for r in hermite_normal_form(vectors) if any(r))
     return Sublattice(ambient_dim, rows)
 
 

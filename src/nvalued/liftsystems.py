@@ -37,6 +37,9 @@ from math import lcm
 from .intlinalg import lattice_contains, lattice_from_generators, left_kernel
 from .semidirect import DimensionMismatchError, Permutation, SemidirectElement
 
+# reports list every factor and every class: a larger n or finite R is refused
+LISTING_LIMIT = 10**6
+
 
 class LiftSystemError(ValueError):
     """Base class for model validation failures."""
@@ -261,10 +264,12 @@ def psi_of(data: PsiData, z) -> SemidirectElement:
 
 
 def require_congruent_rows(n: int, a):
-    """Check n >= 1 and that the rows of the square integer matrix ``a``
-    are pairwise congruent entrywise mod n."""
+    """Check 1 <= n <= LISTING_LIMIT and that the rows of the square
+    integer matrix ``a`` are pairwise congruent entrywise mod n."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > LISTING_LIMIT:
+        raise ValueError(f"n = {n} is too many factors to list (limit {LISTING_LIMIT})")
     q = len(a)
     for r in range(q):
         for s in range(r + 1, q):
@@ -277,8 +282,8 @@ def require_congruent_rows(n: int, a):
 def make_linear(n: int, matrix) -> LiftSystem:
     """Linear n-valued torus map: factors t |-> (A t + (i, ..., i)) / n.
 
-    Requires n >= 1 and every pair of rows of the integer matrix A to be
-    congruent entrywise mod n.
+    Requires 1 <= n <= LISTING_LIMIT and every pair of rows of the
+    integer matrix A to be congruent entrywise mod n.
     """
     a = [list(map(int, row)) for row in matrix]
     q = len(a)
@@ -297,8 +302,7 @@ def make_linear(n: int, matrix) -> LiftSystem:
 
 def make_circle(n: int, d: int) -> LiftSystem:
     """Circle map taking z to the n-th roots of z^d: factors (d t + j - 1)/n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    require_congruent_rows(n, [[d]])  # 1 <= n <= LISTING_LIMIT; one row, nothing to compare
     factors = [
         ([[Fraction(d, n)]], [Fraction(j - 1, n)])
         for j in range(1, n + 1)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nvalued.intlinalg import coset_reduce, vec_add, vec_sub
+from nvalued.intlinalg import coset_reduce, hermite_normal_form, vec_add, vec_sub
 from nvalued.liftsystems import lift_system, make_circle, make_linear, make_split
 from nvalued.semidirect import Permutation
 
@@ -135,6 +135,22 @@ def class_label(report, alpha, i: int):
             moved = vec_add(vec_sub(tuple(alpha), t), cls.labels[pos])
             return (coset_reduce(block.image_lattice, moved), cls.representative)
     raise ValueError(f"index {i} out of range")
+
+
+def hnf_with_transform(m):
+    """``(H, U)`` with H the row HNF of the integer matrix M, U unimodular
+    and ``U @ M = H``.
+
+    Both are blocks of the HNF of the augmented matrix [M | E]: its row
+    operations turn E into U.  Once the elimination moves into the E
+    columns, it only adds, swaps and negates rows whose M block is already
+    zero, so the left block is the HNF of M alone.
+    """
+    cols = len(m[0])
+    aug = hermite_normal_form(
+        [[*row, *(int(i == j) for j in range(len(m)))] for i, row in enumerate(m)]
+    )
+    return [row[:cols] for row in aug], [row[cols:] for row in aug]
 
 
 def closure(generators, n: int):

@@ -30,6 +30,7 @@ from nvalued.planner import NoEssentialVertexError, TokenGraph, plan, simulate
 from nvalued.reidemeister import reidemeister_number
 
 from conftest import (
+    hnf_with_transform,
     random_congruent_matrix,
     random_split_system,
     random_system,
@@ -210,7 +211,8 @@ def test_criterion_6_property_suites():
     while confirmed < 40:
         q = rng.randint(1, 3)
         vecs = [tuple(rng.randint(-5, 5) for _ in range(q)) for _ in range(q + 1)]
-        h, u = hermite_normal_form(vecs)
+        h, u = hnf_with_transform(vecs)
+        assert h == hermite_normal_form(vecs)
         assert mat_mul(u, [list(v) for v in vecs]) == h
         assert abs(rational_det(u)) == 1
         shuffled = list(vecs)

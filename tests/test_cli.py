@@ -395,6 +395,54 @@ class TestBoundaryErrors:
         assert err == ["nvalued: error: matrix entry must be an integer, got '1/2'"]
 
 
+class TestBoundedMemory:
+    """Large n under a 400 MB address-space cap, each run in a process of
+    its own: n = 10^4 is analyzed, and an n above LISTING_LIMIT exits 1
+    with one error line before any factor is built."""
+
+    @staticmethod
+    def _run_capped(argv):
+        import os
+        import subprocess
+        import sys
+
+        resource = pytest.importorskip("resource")
+        cap = 400 * 2**20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        src = pathlib.Path(__file__).parents[1] / "src"
+        return subprocess.run(
+            [sys.executable, "-m", "nvalued.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=limit,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_circle_n_1e4(self, tmp_path):
+        path = tmp_path / "circle.map"
+        path.write_text(json.dumps({"kind": "circle", "n": "1e4", "d": 1}))
+        result = self._run_capped(["analyze", str(path), "--format", "structured"])
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert json.loads(result.stdout)["nielsen"] == 9999
+
+    @pytest.mark.parametrize("argv", [
+        ["circle", "--n", "1000001", "--d", "1"],
+        ["linear", "--n", "1000001", "--matrix", "1"],
+        {"kind": "circle", "n": "1e7", "d": 1},
+        {"kind": "linear", "n": "1e7", "A": [[1]]},
+    ], ids=["circle", "linear", "circle-document", "linear-document"])
+    def test_n_above_listing_limit(self, tmp_path, argv):
+        if isinstance(argv, dict):
+            path = tmp_path / "huge_n.map"
+            path.write_text(json.dumps(argv))
+            argv = ["analyze", str(path)]
+        result = self._run_capped(argv)
+        assert result.returncode == 1
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("nvalued: error:"), err[-5:]
+
+
 def count_calls(monkeypatch, original):
     """Replace every ``nvalued`` binding of ``original`` by a counting
     wrapper; returns the list that gets one entry per call."""
