@@ -9,7 +9,11 @@ split         split map from integer-linear branches
 oracle-check  brute-force certification of the engine output
 plan          token rearrangement schedule for a graph document
 
-Exit codes: 0 success, 1 validation/model error, 2 usage error.
+The first four share ``_cmd_report``: each sets how it builds its
+``(kind, LiftSystem)``, from the document or from flags.
+
+Exit codes: 0 success, 1 validation/model error (a ``MODEL_ERRORS``
+base class: any ``ValueError``), 2 usage error.
 
 All rationals are serialized as exact "p/q" strings and infinite counts
 as the literal string "infinite"; structured output is deterministic
@@ -26,24 +30,9 @@ from math import gcd
 
 from .fixedpoints import nielsen_report
 from .intlinalg import is_infinite
-from .liftsystems import (
-    LiftSystem,
-    LiftSystemError,
-    lift_system,
-    make_circle,
-    make_linear,
-    make_split,
-)
+from .liftsystems import LiftSystem, lift_system, make_circle, make_linear, make_split
 from .oracle import BudgetExceededError, OracleConfig, oracle_check
-from .planner import (
-    CollisionDetectedError,
-    IllegalMoveError,
-    NoEssentialVertexError,
-    PlannerStuckError,
-    TokenGraph,
-    plan,
-    simulate,
-)
+from .planner import PlannerStuckError, TokenGraph, plan, simulate
 from .reidemeister import reidemeister_number
 
 USAGE_ERROR = 2
@@ -324,15 +313,9 @@ def emit(doc, fmt, out):
 # subcommands
 
 
-def _cmd_analyze(args, out):
-    kind, sys = load_map_document(args.spec)
+def _cmd_report(args, out):
+    kind, sys = args.build(args)
     emit(build_report(kind, sys), args.format, out)
-    return 0
-
-
-def _cmd_circle(args, out):
-    sys = make_circle(args.n, args.d)
-    emit(build_report("circle", sys), args.format, out)
     return 0
 
 
@@ -345,13 +328,6 @@ def _parse_matrix(text):
     if not matrix or any(len(r) != len(matrix) for r in matrix):
         raise DocumentError(f"matrix {text!r} is not square")
     return matrix
-
-
-def _cmd_linear(args, out):
-    matrix = _parse_matrix(args.matrix)
-    sys = make_linear(args.n, matrix)
-    emit(build_report("linear", sys), args.format, out)
-    return 0
 
 
 def _parse_parts(text):
@@ -372,13 +348,6 @@ def _parse_parts(text):
     if not parts:
         raise DocumentError("no parts given")
     return parts
-
-
-def _cmd_split(args, out):
-    parts = _parse_parts(args.parts)
-    sys = make_split(parts)
-    emit(build_report("split", sys), args.format, out)
-    return 0
 
 
 def _cmd_oracle_check(args, out):
@@ -445,13 +414,13 @@ def _make_parser():
     p = sub.add_parser("analyze", help="analyze a map specification document")
     p.add_argument("spec", help="path to a JSON map document")
     add_format(p)
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_report, build=lambda a: load_map_document(a.spec))
 
     p = sub.add_parser("circle", help="n-valued circle map of degree d")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     add_format(p)
-    p.set_defaults(func=_cmd_circle)
+    p.set_defaults(func=_cmd_report, build=lambda a: ("circle", make_circle(a.n, a.d)))
 
     p = sub.add_parser("linear", help="linear n-valued torus map")
     p.add_argument("--n", type=int, required=True)
@@ -461,7 +430,9 @@ def _make_parser():
         help="integer matrix, rows separated by ';' (e.g. '1 1; 1 1')",
     )
     add_format(p)
-    p.set_defaults(func=_cmd_linear)
+    p.set_defaults(
+        func=_cmd_report, build=lambda a: ("linear", make_linear(a.n, _parse_matrix(a.matrix)))
+    )
 
     p = sub.add_parser("split", help="split map from integer-linear branches")
     p.add_argument(
@@ -473,7 +444,9 @@ def _make_parser():
         ),
     )
     add_format(p)
-    p.set_defaults(func=_cmd_split)
+    p.set_defaults(
+        func=_cmd_report, build=lambda a: ("split", make_split(_parse_parts(a.parts)))
+    )
 
     p = sub.add_parser("oracle-check", help="brute-force certification")
     p.add_argument("spec", help="path to a JSON map document")
@@ -490,17 +463,7 @@ def _make_parser():
     return parser
 
 
-MODEL_ERRORS = (
-    LiftSystemError,
-    DocumentError,
-    NoEssentialVertexError,
-    IllegalMoveError,
-    CollisionDetectedError,
-    PlannerStuckError,
-    BudgetExceededError,
-    OverflowError,
-    ValueError,
-)
+MODEL_ERRORS = (ValueError, OverflowError, PlannerStuckError, BudgetExceededError)
 
 
 def main(argv=None, out=None):

@@ -1,7 +1,8 @@
 """Exact integer and rational linear algebra.
 
 Everything here runs on Python's arbitrary-precision integers and
-``fractions.Fraction``; there is no floating point anywhere.  The module
+``fractions.Fraction``.  The one float is :data:`INFINITE`, the index of
+a lattice of deficient rank, which is only compared and added.  The module
 provides the row-style Hermite normal form, a canonical representation
 of sublattices of Z^q, coset enumeration inside a fundamental box, and
 one elimination kernel.
@@ -28,59 +29,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import inf, lcm, prod
 
 
 class InfiniteIndexError(ValueError):
     """Coset enumeration was requested for a lattice of deficient rank."""
 
 
-class _Infinite:
-    """Symbolic infinity for lattice indices and Reidemeister counts.
-
-    Deliberately not a float: it absorbs addition with ints, compares
-    bigger than every int, and serializes as the string "infinite".
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "infinite"
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("nvalued-infinite")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-
-INFINITE = _Infinite()
+# the index of a lattice of deficient rank, and so an infinite Reidemeister
+# count: it is only compared and added, and reports print it as "infinite"
+INFINITE = inf
 
 
 def is_infinite(value) -> bool:
-    return value is INFINITE
+    return value == INFINITE
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +167,10 @@ def lattice_index(lat: Sublattice):
 
 
 def lattice_contains(lat: Sublattice, v) -> bool:
-    """Exact membership test by triangular reduction against the HNF basis."""
+    """Exact membership test: v lies in L iff its coset representative is 0."""
     if len(v) != lat.ambient_dim:
         raise ValueError("vector has wrong length")
-    w = list(map(int, v))
-    for row in lat.basis:
-        j = next(k for k, x in enumerate(row) if x != 0)
-        if w[j] % row[j] != 0:
-            return False
-        q = w[j] // row[j]
-        if q:
-            for k in range(j, lat.ambient_dim):
-                w[k] -= q * row[k]
-    return all(x == 0 for x in w)
+    return not any(coset_reduce(lat, v))
 
 
 def hnf_diagonal(lat: Sublattice):

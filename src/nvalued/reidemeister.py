@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .intlinalg import (
+    INFINITE,
     Sublattice,
     coset_representatives,
     is_infinite,
@@ -180,6 +181,8 @@ def reidemeister_number(sys_or_data) -> ReidemeisterReport:
         ClassBlock(sigma_class=cls, count=lattice_index(cls.image_lattice))
         for cls in sigma.classes
     )
-    total = sum(block.count for block in blocks)
+    counts = [block.count for block in blocks]
+    # INFINITE is a float: adding an int above float range to it overflows
+    total = INFINITE if INFINITE in counts else sum(counts)
     return ReidemeisterReport(psi=data, sigma=sigma, blocks=blocks, total=total)
 

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from nvalued.intlinalg import coset_reduce, hermite_normal_form, vec_add, vec_sub
+from nvalued.intlinalg import (
+    coset_reduce,
+    frac_identity,
+    hermite_normal_form,
+    mat_mul,
+    vec_add,
+    vec_sub,
+)
 from nvalued.liftsystems import lift_system, make_circle, make_linear, make_split
 from nvalued.semidirect import Permutation
 
@@ -103,6 +110,80 @@ def random_system(rng: random.Random):
         return make_split(random_split_system(rng))
     n, rows, _ = random_linear_system(rng, nonzero_nielsen=False)
     return make_linear(n, rows)
+
+
+EPSILONS = (-2, -1, 2, 3)
+OFFSETS = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
+
+
+def _stacked_factors(rng: random.Random, q: int):
+    """1-3 circle blocks (d t + j) / n on the first axis, each times
+    s |-> eps s + c on every other axis.  A middle axis draws its own eps
+    and c per block; the last axis shares eps and gives each block its own
+    c, so factors of different blocks never meet.  d = n makes a singular
+    block."""
+    blocks = rng.randint(1, 3)
+    eps = rng.choice(EPSILONS)
+    den = rng.randint(max(blocks, 2), 4)
+    factors = []
+    for sep in rng.sample(range(den), blocks):
+        n = rng.randint(1, 3)
+        d = n if rng.random() < 0.25 else rng.randint(-3, 4)
+        mids = [(rng.choice(EPSILONS), rng.choice(OFFSETS)) for _ in range(q - 2)]
+        diag = [Fraction(d, n), *(e for e, _ in mids), eps]
+        linear = [[diag[r] if r == c else Fraction(0) for c in range(q)] for r in range(q)]
+        for j in range(n):
+            offset = [Fraction(j, n), *(c for _, c in mids), Fraction(sep, den)]
+            factors.append((linear, offset))
+    return factors
+
+
+def _split_style_factors(rng: random.Random, q: int):
+    """2-3 single-valued integer branches that share their first row and
+    keep distinct first offsets mod 1, so they never meet; a branch whose
+    row k >= 2 is e_k is singular."""
+    count = rng.randint(2, 3)
+    first = [rng.randint(-2, 2) for _ in range(q)]
+    den = rng.randint(count, 4)
+    factors = []
+    for sep in rng.sample(range(den), count):
+        rows = [first] + [[rng.randint(-2, 2) for _ in range(q)] for _ in range(q - 1)]
+        if rng.random() < 0.3:
+            k = rng.randint(1, q - 1)
+            rows[k] = [int(c == k) for c in range(q)]
+        linear = [[Fraction(x) for x in row] for row in rows]
+        offset = [Fraction(sep, den), *(rng.choice(OFFSETS) for _ in range(q - 1))]
+        factors.append((linear, offset))
+    return factors
+
+
+def random_outside_family_factors(rng: random.Random):
+    """(linear, offset) pairs of a random valid map of T^2 or T^3 outside
+    the four constructor families: a stack of circle blocks or a
+    split-style map whose branches share a row (see the two helpers).
+
+    The factors are shuffled and conjugated by a random unimodular P
+    (t |-> P t is a torus automorphism, so the map stays valid and each
+    det(E - M) is kept), and every offset is moved by an integer vector.
+    """
+    q = rng.randint(2, 3)
+    make = rng.choice([_stacked_factors, _split_style_factors])
+    factors = make(rng, q)
+    rng.shuffle(factors)
+    p, p_inv = frac_identity(q), frac_identity(q)
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(range(q), 2)
+        k = rng.choice([-1, 1, 2])
+        # P <- (E + k e_a e_b^T) P, so P^-1 <- P^-1 (E - k e_a e_b^T)
+        p[a] = [x + k * y for x, y in zip(p[a], p[b])]
+        for row in p_inv:
+            row[b] -= k * row[a]
+    conjugated = []
+    for linear, offset in factors:
+        m = mat_mul(mat_mul(p, linear), p_inv)
+        c = [sum(x * y for x, y in zip(row, offset)) + rng.randint(-2, 2) for row in p]
+        conjugated.append((m, c))
+    return conjugated
 
 
 def shifted_system(sys):

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import nvalued
+from nvalued import NonIntegralResultError
 from nvalued.cli import (
+    MODEL_ERRORS,
     DocumentError,
     build_report,
     build_system,
@@ -204,6 +207,61 @@ class TestInlineCommands:
         with pytest.raises(SystemExit) as err:
             main(["bogus"])
         assert err.value.code == 2
+
+
+MAPS = pathlib.Path(__file__).parent.parent / "maps"
+
+
+class TestOneReportPath:
+    """The flag commands and the map documents go through one report path."""
+
+    PAIRS = [
+        (["circle", "--n", "3", "--d", "-400"], {"kind": "circle", "n": 3, "d": -400}),
+        (["linear", "--n", "3", "--matrix", "1 1; 1 1"], MAPS / "linear_3x2.map"),
+        (["split", "--parts", "2 | 0; 2 | 1/2"], MAPS / "split_2.map"),
+    ]
+
+    @staticmethod
+    def _spec(tmp_path, doc):
+        if isinstance(doc, pathlib.Path):
+            return str(doc)
+        path = tmp_path / "spec.map"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("argv, doc", PAIRS, ids=["circle", "linear", "split"])
+    def test_flags_and_document_agree(self, tmp_path, argv, doc, fmt):
+        spec = self._spec(tmp_path, doc)
+        flag_code, flag_out = run_cli([*argv, "--format", fmt])
+        doc_code, doc_out = run_cli(["analyze", spec, "--format", fmt])
+        assert flag_code == doc_code == 0
+        assert flag_out == doc_out
+
+    def test_collision_error_agrees(self, capsys, tmp_path):
+        spec = self._spec(tmp_path, {"kind": "split", "parts": [
+            {"A": [[2]], "b": ["0"]}, {"A": [[3]], "b": ["1/2"]}]})
+        errors = []
+        for argv in (["split", "--parts", "2 | 0; 3 | 1/2"], ["analyze", spec]):
+            code, out = run_cli(argv)
+            err = capsys.readouterr().err.splitlines()
+            assert (code, out) == (1, "")
+            assert len(err) == 1 and err[0].startswith("nvalued: error:"), err
+            errors.append(err[0])
+        assert errors[0] == errors[1]
+
+    def test_model_errors_cover_every_library_error(self):
+        exported = [getattr(nvalued, name) for name in nvalued.__all__]
+        errors = [e for e in exported if isinstance(e, type) and issubclass(e, Exception)]
+        assert len(errors) > 10
+        # NonIntegralResultError guards the engine's own arithmetic: a bug,
+        # not bad input, so it keeps its traceback
+        for error in [*errors, DocumentError]:
+            if error is not NonIntegralResultError:
+                assert issubclass(error, MODEL_ERRORS), error
+        for entry in MODEL_ERRORS:
+            assert not any(entry is not other and issubclass(entry, other)
+                           for other in MODEL_ERRORS), entry
 
 
 class TestOracleCommand:

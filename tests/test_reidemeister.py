@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from nvalued.intlinalg import is_infinite, lattice_from_generators, vec_add, vec_sub
+from nvalued.intlinalg import (
+    is_infinite,
+    lattice_from_generators,
+    lattice_index,
+    vec_add,
+    vec_sub,
+)
 from nvalued.liftsystems import (
     lift_system,
     make_circle,
@@ -17,7 +23,13 @@ from nvalued.liftsystems import (
 from nvalued import reidemeister
 from nvalued.reidemeister import reidemeister_number, sigma_classes
 
-from conftest import class_label, closure, random_system, torus3_system
+from conftest import (
+    class_label,
+    closure,
+    random_outside_family_factors,
+    random_system,
+    torus3_system,
+)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +143,54 @@ class TestClassCount:
             assert block.representatives == ()
 
 
+def frac_det(m):
+    """Determinant of a small Fraction matrix by cofactor expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** c * m[0][c] * frac_det([row[:c] + row[c + 1:] for row in m[1:]])
+               for c in range(len(m)))
+
+
+class TestDeterminantSum:
+    """R(f) = sum_j |det(E - M_j)| over the factors, for maps outside the
+    four families.  Every member of a sigma-class has the representative's
+    linear part M_r, [Z^q : S_r] is the class size, and the image lattice
+    is (E - M_r) S_r; R is infinite iff some det is 0."""
+
+    def test_outside_the_families(self):
+        rng = random.Random(20170)
+        mixed = finite = 0
+        for _ in range(300):
+            factors = random_outside_family_factors(rng)
+            q = len(factors[0][1])
+            e_minus = [[[int(r == c) - x for c, x in enumerate(row)]
+                        for r, row in enumerate(linear)] for linear, _ in factors]
+            dets = [frac_det(m) for m in e_minus]
+            report = reidemeister_number(lift_system(factors))
+            if 0 in dets:
+                assert is_infinite(report.total), dets
+            else:
+                assert report.total == sum(abs(d) for d in dets), dets
+                finite += 1
+            counts = set()
+            for block in report.blocks:
+                cls = block.sigma_class
+                r = cls.representative - 1
+                assert all(factors[j - 1][0] == factors[r][0] for j in cls.members)
+                assert lattice_index(cls.stabilizer) == len(cls.members)
+                images = [[sum(x * y for x, y in zip(row, s)) for row in e_minus[r]]
+                          for s in cls.stabilizer.basis]
+                assert all(x.denominator == 1 for v in images for x in v)
+                assert block.image_lattice == lattice_from_generators(images, q)
+                if dets[r]:
+                    assert block.count == len(cls.members) * abs(dets[r])
+                else:
+                    assert is_infinite(block.count)
+                counts.add(is_infinite(block.count))
+            mixed += counts == {True, False}
+        assert mixed >= 100 and finite >= 100, (mixed, finite)
+
+
 def reference_orbit_transversal(data, start):
     """The earlier unlabelled BFS: ``{j: z}`` with sigma_z(start) = j, of
     minimal length and lexicographically smallest within a layer."""
@@ -212,6 +272,15 @@ class TestReidemeisterNumber:
             ((1, 0), 3),
             ((1, 1), 3),
         )
+
+    def test_infinite_beside_a_count_above_float_range(self):
+        # the first branch's block counts |det(E - A)| = 10^400 - 1 classes,
+        # an int that float addition with INFINITE cannot convert
+        sys = make_split([([[2, 0], [0, 10**400]], [0, 0]),
+                          ([[2, 0], [0, 1]], [Fraction(1, 2), 0])])
+        report = reidemeister_number(sys)
+        assert report.blocks[0].count == 10**400 - 1
+        assert is_infinite(report.total)
 
     def test_circle_theorem(self):
         for n in range(1, 7):
